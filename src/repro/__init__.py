@@ -123,6 +123,7 @@ def analyze(
     bit-identical to evaluating), so it stays out of ``options`` — it
     is pure acceleration state, not configuration.
     """
+    from . import memo
     from .locality import build_lcg
     from .locality.engine import AnalysisCache
     from .locality.intra import check_intra_phase
@@ -136,7 +137,6 @@ def analyze(
         install_plan,
         plan_key,
     )
-    from .symbolic.compile import compile_stats
 
     opts = _fold_legacy(options, parallel, cache)
 
@@ -193,7 +193,7 @@ def analyze(
                 plan_bundle.bump("rejected")
             recorder = PlanRecorder()
 
-    compile_before = compile_stats()
+    memo_before = memo.counters()
     try:
         with obs_span(obs, "analyze", program=program.name, H=H):
             if obs is not None:
@@ -291,14 +291,15 @@ def analyze(
                 else None
             )
         if obs is not None and obs.metrics:
-            delta = compile_stats()
-            obs.count(
-                "compile.compiled",
-                delta["misses"] - compile_before["misses"],
-            )
-            obs.count(
-                "compile.reused", delta["hits"] - compile_before["hits"]
-            )
+            delta = {}
+            for name, value in memo.counters().items():
+                if name.endswith(".size"):
+                    obs.gauge(name, value)
+                else:
+                    delta[name] = value - memo_before.get(name, 0)
+                    obs.count(name, delta[name])
+            obs.count("compile.compiled", delta["memo.compile.misses"])
+            obs.count("compile.reused", delta["memo.compile.hits"])
     finally:
         if recorder is not None:
             recorder.abandon()

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+from .. import memo
 from ..symbolic import Context, Expr
-from ..symbolic import expr as _expr_state
 from .ard import ARD, Dim
 from .pd import PhaseDescriptor
 
@@ -141,24 +141,18 @@ def _try_drop(row: ARD, ctx: Context) -> Optional[ARD]:
 #: are re-coalesced for every (phase, array) pair during LCG
 #: construction, and rows/contexts are immutable, so the rewrite is a
 #: pure function of the key.
-_COALESCE_CACHE: dict = {}
-_COALESCE_CACHE_MAX = 4096
+_COALESCED = memo.register("coalesce", 4096)
 
 
 def coalesce_row(row: ARD, ctx: Context) -> ARD:
     """Apply Rules A and B to one row until fixpoint (memoized)."""
-    if not _expr_state._MEMO_ENABLED:
-        return _coalesce_row_impl(row, ctx)
     try:
         key = (row, ctx._fingerprint())
-        hit = _COALESCE_CACHE.get(key)
+        hit = _COALESCED.get(key)
     except TypeError:  # unhashable payload: compute uncached
         return _coalesce_row_impl(row, ctx)
     if hit is None:
-        hit = _coalesce_row_impl(row, ctx)
-        if len(_COALESCE_CACHE) >= _COALESCE_CACHE_MAX:
-            _COALESCE_CACHE.clear()
-        _COALESCE_CACHE[key] = hit
+        hit = _COALESCED.put(key, _coalesce_row_impl(row, ctx))
     return hit
 
 

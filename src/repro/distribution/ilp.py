@@ -25,6 +25,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .. import memo
 from ..obs import obs_span
 from ..symbolic import Expr
 from .constraints import ConstraintSystem
@@ -45,20 +46,17 @@ __all__ = [
 #: loop re-reduces the system and the per-component enumeration re-reads
 #: the same trip counts for every candidate ``t``, always under the same
 #: few parameter bindings.  Hash-consed ``Expr`` nodes make the key cheap.
-_EVAL_CACHE: dict = {}
-_EVAL_CACHE_MAX = 1 << 14
+_EVALUATED = memo.register("eval", 1 << 14)
 
 
 def _ev(expr: Expr, env: Mapping[str, int]) -> Fraction:
     key = (expr, tuple(sorted(env.items())))
-    hit = _EVAL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = expr.evalf({k: Fraction(v) for k, v in env.items()})
-    if len(_EVAL_CACHE) >= _EVAL_CACHE_MAX:
-        _EVAL_CACHE.clear()
-    _EVAL_CACHE[key] = value
-    return value
+    hit = _EVALUATED.get(key)
+    if hit is None:
+        hit = _EVALUATED.put(
+            key, expr.evalf({k: Fraction(v) for k, v in env.items()})
+        )
+    return hit
 
 
 def _ev_int(expr: Expr, env: Mapping[str, int]) -> int:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from .. import memo
 from ..symbolic import (
     CeilDiv,
     Context,
@@ -56,8 +57,7 @@ class Feasibility(enum.Enum):
 #: symbol *names* never enter it — so structurally identical phase pairs
 #: across programs (and across processes, via plan bundles) share one
 #: verdict.  Witness expressions are name-free for the same reason.
-_DECIDE_CACHE: dict = {}
-_DECIDE_CACHE_MAX = 1 << 14
+_DECIDED = memo.register("decide", 1 << 14)
 
 
 @dataclass
@@ -259,11 +259,8 @@ class BalancedCondition:
         """Symbolic first, concrete fallback.  Returns (Feasibility, witness)."""
         key = self._decide_key(ctx, H, env, H_value)
         if key is not None:
-            hit = _DECIDE_CACHE.get(key)
+            hit = _DECIDED.get(key)
             if hit is not None:
-                obs = getattr(ctx, "obs", None)
-                if obs is not None:
-                    obs.count("balanced.decide_hits")
                 return hit
         verdict, witness = self.check_symbolic(ctx, H)
         if verdict is Feasibility.UNKNOWN:
@@ -274,9 +271,7 @@ class BalancedCondition:
                 else:
                     verdict, witness = Feasibility.INFEASIBLE, None
         if key is not None and verdict is not Feasibility.UNKNOWN:
-            if len(_DECIDE_CACHE) >= _DECIDE_CACHE_MAX:
-                _DECIDE_CACHE.clear()
-            _DECIDE_CACHE[key] = (verdict, witness)
+            _DECIDED.put(key, (verdict, witness))
         return verdict, witness
 
 

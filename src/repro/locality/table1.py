@@ -20,8 +20,6 @@ callers must check that separately (``repro.locality.inter`` does).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 __all__ = ["EDGE_LABEL_TABLE", "classify_edge", "ATTRIBUTES"]
 
 ATTRIBUTES = ("R", "W", "R/W", "P")
@@ -47,7 +45,6 @@ EDGE_LABEL_TABLE = {
 }
 
 
-@lru_cache(maxsize=None)
 def classify_edge(
     attr_k: str,
     attr_g: str,

@@ -4,11 +4,14 @@ Times every pipeline stage — IR build, ARD construction + coalescing,
 LCG build, ILP solve, and both DSM execution modes — on the six-code
 suite, in two configurations:
 
-* **baseline** — the interpreted pre-optimization engine: expression
-  memoization off, vectorized/compiled enumeration off, the executor
+* **baseline** — the interpreted pre-optimization engine: vectorized/
+  compiled enumeration and sampled refutation off, the executor
   restricted to the legacy affine-rectangular fast path.  This is the
   code path the repo shipped before the performance layer landed, kept
-  runnable precisely so the speedup is measured, not remembered.
+  runnable precisely so the speedup is measured, not remembered.  The
+  :mod:`repro.memo` banks stay on (cleared): with every bank off the
+  ``is_nonneg`` recursion and the Eq. 7 enumeration re-derive shared
+  sub-results without bound, and the quick pass no longer finishes.
 * **optimized** — everything on: interning + memoized algebra, compiled
   vectorized subscript evaluation, sampled refutation of ``is_nonneg``
   proof obligations, the fingerprint analysis cache behind the LCG
@@ -58,6 +61,7 @@ so a future regression localises to a stage straight from CI output.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import platform
 import sys
@@ -190,10 +194,8 @@ def set_optimizations(enabled: bool) -> None:
     from ..dsm.executor import _set_fast_path_default
     from ..ir.interp import set_vectorized
     from ..locality.engine import _set_analysis_cache_default
-    from ..symbolic import set_memoization
     from ..symbolic.refute import _set_refutation_default
 
-    set_memoization(enabled)
     set_vectorized(enabled)
     _set_fast_path_default("wide" if enabled else "legacy")
     _set_refutation_default(enabled)
@@ -204,33 +206,17 @@ def set_optimizations(enabled: bool) -> None:
 def clear_caches() -> None:
     """Reset memoization state so timed runs start cold.
 
-    This includes the pre-existing structural ``is_nonneg`` cache: its
-    keys are shared across freshly-built programs, so without clearing
-    it whichever mode runs second would inherit a warm cache and the
-    comparison would be meaningless.
+    Every memo bank is keyed structurally and shared across
+    freshly-built programs, so without clearing them whichever mode
+    runs second would inherit warm memos and the comparison would be
+    meaningless.
     """
-    from ..descriptors import coalesce as _coalesce
-    from ..distribution import ilp as _ilp
-    from ..locality import balanced as _balanced
-    from ..locality import engine as _engine
-    from ..locality import table1 as _table1
+    from .. import memo
+    from ..locality.engine import clear_analysis_cache
     from ..plan import clear_plan_cache
-    from ..symbolic import clear_refutation_banks
-    from ..symbolic import compile as _compile
-    from ..symbolic import context as _context
-    from ..symbolic import expr as _expr
 
-    _expr._divide_exact_cached.cache_clear()
-    _expr._shift_difference_cached.cache_clear()
-    _expr._SUBS_CACHE.clear()
-    _compile.clear_compile_memo()
-    _coalesce._COALESCE_CACHE.clear()
-    _context._NONNEG_CACHE.clear()
-    _balanced._DECIDE_CACHE.clear()
-    _table1.classify_edge.cache_clear()
-    _ilp._EVAL_CACHE.clear()
-    _engine.clear_analysis_cache()
-    clear_refutation_banks()
+    memo.clear_all()
+    clear_analysis_cache()
     clear_plan_cache()
 
 
@@ -382,11 +368,16 @@ def _time_lcg_only(name: str, env: Mapping[str, int], H: int) -> dict:
         builder(), builder(), builder(), builder(),
     )
     refute_before = refutation_stats()
+    # Each timed build starts with a full collection, so a gen-2 pass
+    # owed to the untimed set-up (a ~30 ms walk of the whole heap,
+    # longer than a whole plan-driven build) cannot land inside it.
+    gc.collect()
     t0 = time.perf_counter()
     build_lcg(first, env=env, H_value=H, back_edges=back_edges)
     cold = time.perf_counter() - t0
     refute_after = refutation_stats()
     stats_cold = dict(get_analysis_cache().stats)
+    gc.collect()
     t0 = time.perf_counter()
     build_lcg(second, env=env, H_value=H, back_edges=back_edges)
     warm = time.perf_counter() - t0
@@ -417,6 +408,7 @@ def _time_lcg_only(name: str, env: Mapping[str, int], H: int) -> dict:
         loaded.install_banks()
         replay = loaded.get(compiled.key) if compiled is not None else None
         if replay is not None and install_plan(replay):
+            gc.collect()
             t0 = time.perf_counter()
             build_lcg(
                 fourth, env=env, H_value=H, back_edges=back_edges,

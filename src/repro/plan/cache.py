@@ -1,10 +1,11 @@
 """Persistent cross-process plan/compile/refutation bundle.
 
 A :class:`PlanCache` snapshots everything a cold process must otherwise
-re-derive before its first analysis answers: the compiled-expression
-table keys, the global memo banks (subs, coalesce, decide, nonneg), the
-refutation sample-bank contexts, and the :class:`repro.plan.compiler.
-AnalysisPlan` per ``(program, binding)``.  It persists next to the
+re-derive before its first analysis answers: every bank of the
+:mod:`repro.memo` registry (compiled kernels and refutation sample
+banks pickle as their keys and are rebuilt on load) and the
+:class:`repro.plan.compiler.AnalysisPlan` per ``(program, binding)``.
+It persists next to the
 :class:`repro.locality.engine.AnalysisCache` snapshot, is loaded at
 service boot and by the CLI, and degrades exactly like it: a missing
 file is a silent cold start; a corrupt, truncated, schema-mismatched or
@@ -35,6 +36,7 @@ import pickle
 import threading
 import warnings
 
+from .. import memo
 from ..check.faults import fire as _fault_fire
 from ..errors import CacheLoadWarning
 from ..persist import atomic_write_bytes
@@ -62,12 +64,12 @@ class PlanCache:
     a concurrent ``put`` resizes it.
     """
 
-    SCHEMA = 1
+    SCHEMA = 2
 
     def __init__(self):
         self._lock = threading.Lock()
         self.plans: dict = {}  # (program_fp, binding) -> AnalysisPlan
-        self.banks: dict = {}  # captured global memo tables
+        self.banks: dict = {}  # memo.snapshot(): bank name -> items
         self.stats = {
             "hits": 0,
             "misses": 0,
@@ -123,63 +125,22 @@ class PlanCache:
     # -- global memo banks ------------------------------------------------
 
     def capture_banks(self) -> None:
-        """Snapshot the process's warm memo tables into the bundle."""
-        from ..locality import balanced as _balanced
-        from ..descriptors import coalesce as _coalesce
-        from ..symbolic import compile as _compile
-        from ..symbolic import context as _context
-        from ..symbolic import expr as _expr
-        from ..symbolic import refute as _refute
-
-        banks = {
-            "subs": dict(_expr._SUBS_CACHE),
-            "coalesce": dict(_coalesce._COALESCE_CACHE),
-            "decide": dict(_balanced._DECIDE_CACHE),
-            "nonneg": dict(_context._NONNEG_CACHE),
-            "compiled": list(_compile.compile_memo_keys()),
-            "refute_ctxs": [
-                _strip(bank.ctx)
-                for bank in list(_refute._BANKS.values())
-                if bank.usable
-            ],
-        }
+        """Snapshot the process's warm memo banks into the bundle."""
+        banks = memo.snapshot()
         with self._lock:
             self.banks = banks
 
     def install_banks(self, obs=None) -> None:
-        """Seed the process's memo tables from the captured bundle.
+        """Seed the process's memo banks from the captured bundle.
 
-        Each table is seeded through its normal store path semantics
-        (plain dict update — the caps are enforced by the next store),
-        compiled kernels are rebuilt from their ``(expr, names)`` keys
-        (compilation is deterministic), and refutation banks are
-        re-derived from their contexts (bank contents are a pure
-        function of the context fingerprint).
+        Every entry goes through its bank's store path, so the caps
+        hold however warm the process already is.
         """
-        from ..locality import balanced as _balanced
-        from ..descriptors import coalesce as _coalesce
-        from ..symbolic import compile as _compile
-        from ..symbolic import context as _context
-        from ..symbolic import expr as _expr
-        from ..symbolic.compile import UncompilableExpr
-        from ..symbolic.refute import _bank_for
-
         with self._lock:
             banks = self.banks
         if not banks:
             return
-        _expr._SUBS_CACHE.update(banks.get("subs", {}))
-        _coalesce._COALESCE_CACHE.update(banks.get("coalesce", {}))
-        _balanced._DECIDE_CACHE.update(banks.get("decide", {}))
-        _context._NONNEG_CACHE.update(banks.get("nonneg", {}))
-        for expr, names in banks.get("compiled", ()):
-            try:
-                _compile.compile_expr(expr, names)
-            except UncompilableExpr:
-                if obs is not None:
-                    obs.count("plan.compile_failed")
-        for ctx in banks.get("refute_ctxs", ()):
-            _bank_for(ctx)
+        memo.install(banks)
         if obs is not None:
             obs.count("plan.banks_installed")
 
@@ -294,12 +255,6 @@ class PlanCache:
         cache = cls.load(path, obs=obs)
         cache.install_banks(obs=obs)
         return cache
-
-
-def _strip(ctx):
-    from .compiler import _strip_ctx
-
-    return _strip_ctx(ctx)
 
 
 #: The process-global in-memory bundle (``plan=on`` with no path).

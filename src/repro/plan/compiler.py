@@ -90,14 +90,6 @@ def plan_key(
     )
 
 
-def _strip_ctx(ctx):
-    """A picklable copy of a context: no collector, no refutation knob."""
-    out = ctx.copy()
-    out.obs = None
-    out.refutation = None
-    return out
-
-
 @dataclass
 class AnalysisPlan:
     """One program's analysis, lowered for replay under one binding."""
@@ -156,7 +148,7 @@ class PlanRecorder:
 
         self.nonneg: list = []
         self.ctxs: dict = {}
-        self._compile_before = set(_compile.compile_memo_keys())
+        self._compile_before = set(_compile._COMPILED.snapshot())
         # One stable bound-method object: add/remove match hooks by
         # identity, and ``self._record`` rebinds on every access.
         self._hook = self._record
@@ -166,7 +158,7 @@ class PlanRecorder:
     def _record(self, ctx, ctx_fp, expr, verdict) -> None:
         self.nonneg.append((ctx_fp, expr, bool(verdict)))
         if ctx_fp not in self.ctxs:
-            self.ctxs[ctx_fp] = _strip_ctx(ctx)
+            self.ctxs[ctx_fp] = ctx.portable()
 
     def abandon(self) -> None:
         """Disarm without producing a plan (build failed mid-flight)."""
@@ -226,7 +218,7 @@ class PlanRecorder:
 
         compiled = tuple(
             key
-            for key in _compile.compile_memo_keys()
+            for key in _compile._COMPILED.snapshot()
             if key not in self._compile_before
         )
 
@@ -295,7 +287,7 @@ def install_plan(plan: AnalysisPlan, obs=None, cache=None) -> bool:
         obs.count("plan.sweep_refuted", refuted)
 
     for fp, expr, verdict in plan.nonneg:
-        _context._nonneg_store((fp, expr._key()), verdict)
+        _context._NONNEG.put((fp, expr._key()), verdict)
 
     acache = _resolve_cache(cache)
     if acache is not None:

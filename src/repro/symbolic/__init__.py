@@ -36,7 +36,6 @@ from .expr import (
     floor_div,
     num,
     pow2,
-    set_memoization,
     shift_difference,
     smax,
     smin,
@@ -51,11 +50,7 @@ from .linear import (
     affine_coefficients,
     solve_linear_diophantine,
 )
-from .refute import (
-    clear_refutation_banks,
-    refutation_stats,
-    refute_nonneg,
-)
+from .refute import refutation_stats, refute_nonneg
 from .sampling import always_nonneg_sampled, equivalent, random_env
 
 __all__ = [
@@ -85,7 +80,6 @@ __all__ = [
     "always_nonneg_sampled",
     "as_expr",
     "ceil_div",
-    "clear_refutation_banks",
     "compile_expr",
     "divide_exact",
     "equivalent",
@@ -95,7 +89,6 @@ __all__ = [
     "random_env",
     "refutation_stats",
     "refute_nonneg",
-    "set_memoization",
     "shift_difference",
     "smax",
     "smin",

@@ -41,6 +41,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .. import memo
 from .expr import (
     Add,
     CeilDiv,
@@ -59,10 +60,7 @@ from .expr import (
 __all__ = [
     "CompiledExpr",
     "UncompilableExpr",
-    "clear_compile_memo",
     "compile_expr",
-    "compile_memo_keys",
-    "compile_stats",
 ]
 
 #: Largest intermediate numerator magnitude allowed on the int64 path.
@@ -511,44 +509,9 @@ class CompiledExpr:
         return f"CompiledExpr({self.expr!s}, names={self.names})"
 
 
-#: Memo of compiled closures keyed ``(expr, names)``.  A plain
-#: insertion-ordered dict rather than an ``lru_cache`` so the plan
-#: compiler can *enumerate* the table into a persistent bundle; bounded
-#: by dropping the oldest eighth when full.
-_COMPILE_MEMO: dict = {}
-_COMPILE_MEMO_MAX = 8192
-_COMPILE_STATS = {"hits": 0, "misses": 0}
-
-
-def compile_stats() -> dict:
-    """A copy of the memo's hit/miss counters (for obs deltas)."""
-    return dict(_COMPILE_STATS)
-
-
-def compile_memo_keys() -> list:
-    """Every ``(expr, names)`` pair currently compiled, in memo order."""
-    return list(_COMPILE_MEMO)
-
-
-def clear_compile_memo() -> None:
-    _COMPILE_MEMO.clear()
-    for key in _COMPILE_STATS:
-        _COMPILE_STATS[key] = 0
-
-
-def _compile_cached(expr: Expr, names: tuple) -> CompiledExpr:
-    key = (expr, names)
-    hit = _COMPILE_MEMO.get(key)
-    if hit is not None:
-        _COMPILE_STATS["hits"] += 1
-        return hit
-    _COMPILE_STATS["misses"] += 1
-    compiled = CompiledExpr(expr, names)
-    if len(_COMPILE_MEMO) >= _COMPILE_MEMO_MAX:
-        for old in list(_COMPILE_MEMO)[: _COMPILE_MEMO_MAX // 8]:
-            del _COMPILE_MEMO[old]
-    _COMPILE_MEMO[key] = compiled
-    return compiled
+#: Memo bank of compiled closures keyed ``(expr, names)``; its misses
+#: and hits are the ``compile.compiled`` / ``compile.reused`` counters.
+_COMPILED = memo.register("compile", 8192)
 
 
 def compile_expr(
@@ -566,4 +529,8 @@ def compile_expr(
     expr = as_expr(expr)
     if names is None:
         names = tuple(sorted(s.name for s in expr.free_symbols()))
-    return _compile_cached(expr, tuple(names))
+    key = (expr, tuple(names))
+    hit = _COMPILED.get(key)
+    if hit is None:
+        hit = _COMPILED.put(key, CompiledExpr(*key))
+    return hit

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from .. import memo
 from .expr import (
     CeilDiv,
     Expr,
@@ -45,15 +46,11 @@ from .refute import refute_nonneg
 
 __all__ = ["LoopVar", "Context"]
 
-#: Global memo table for the is_nonneg predicate.  Keyed by (context
-#: fingerprint, expression key); bounded to keep memory in check.  The
-#: predicates are pure functions of (assumptions, expression), so the
-#: cache is sound across Context copies with equal fingerprints.  When
-#: the cap is reached the oldest eighth is evicted (dicts iterate in
-#: insertion order), so a long-lived service process keeps the hottest
-#: recent entries instead of freezing whatever filled the table first.
-_NONNEG_CACHE: dict = {}
-_NONNEG_CACHE_MAX = 1 << 18
+#: Memo bank for the is_nonneg predicate, keyed by (context
+#: fingerprint, expression key).  The predicates are pure functions of
+#: (assumptions, expression), so the memo is sound across Context
+#: copies with equal fingerprints.
+_NONNEG = memo.register("nonneg", 1 << 18)
 
 #: Recording hooks armed by the plan compiler (:mod:`repro.plan`):
 #: each is called as ``hook(ctx, ctx_fp, expr, verdict)`` for every
@@ -84,18 +81,6 @@ def _remove_nonneg_record(hook) -> None:
         _NONNEG_RECORD = tuple(
             h for h in (_NONNEG_RECORD or ()) if h is not hook
         )
-
-
-def _nonneg_store(key, result, obs=None) -> None:
-    if len(_NONNEG_CACHE) >= _NONNEG_CACHE_MAX:
-        evicted = list(_NONNEG_CACHE)[: _NONNEG_CACHE_MAX // 8]
-        for old in evicted:
-            del _NONNEG_CACHE[old]
-        if obs is not None:
-            obs.count("prover.cache_evictions", len(evicted))
-    _NONNEG_CACHE[key] = result
-    if obs is not None:
-        obs.gauge("prover.nonneg_cache_size", len(_NONNEG_CACHE))
 
 
 @dataclass(frozen=True)
@@ -212,6 +197,12 @@ class Context:
             refutation=getattr(self, "refutation", None),
         )
 
+    def portable(self) -> "Context":
+        """A picklable copy: no collector, no refutation knob."""
+        out = self.copy()
+        out.obs = out.refutation = None
+        return out
+
     def assume_positive(self, *syms) -> "Context":
         self._invalidate()
         for s in syms:
@@ -299,7 +290,7 @@ class Context:
         key = (self._fingerprint(), expr._key())
         obs = getattr(self, "obs", None)
         record = _NONNEG_RECORD
-        cached = _NONNEG_CACHE.get(key)
+        cached = _NONNEG.get(key)
         if cached is not None:
             if obs is not None:
                 obs.count("prover.cache_hits")
@@ -310,7 +301,7 @@ class Context:
         result = self._is_nonneg_uncached(expr, _depth)
         if obs is not None and result:
             obs.count("prover.proved")
-        _nonneg_store(key, result, obs)
+        _NONNEG.put(key, result)
         if record:
             for hook in record:
                 hook(self, key[0], expr, result)

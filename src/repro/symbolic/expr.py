@@ -38,8 +38,9 @@ from __future__ import annotations
 
 import weakref
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence, Union
+
+from .. import memo
 
 __all__ = [
     "Expr",
@@ -63,7 +64,6 @@ __all__ = [
     "smin",
     "as_expr",
     "shift_difference",
-    "set_memoization",
     "ZERO",
     "ONE",
     "TWO",
@@ -79,23 +79,12 @@ ExprLike = Union["Expr", int, Fraction]
 #: the table from pinning dead expressions.
 _INTERN: "weakref.WeakValueDictionary" = weakref.WeakValueDictionary()
 
-#: Master switch for the algebra-level memo caches (stride differencing,
-#: exact division).  The perf harness flips this off to measure the
-#: uncached baseline; interning itself is not reversible.
-_MEMO_ENABLED = True
-
-
-def set_memoization(enabled: bool) -> bool:
-    """Enable/disable the algebra memo caches; returns the old setting."""
-    global _MEMO_ENABLED
-    old = _MEMO_ENABLED
-    _MEMO_ENABLED = bool(enabled)
-    return old
-
-
 #: Substitution results keyed by (interned node, frozen mapping).
-_SUBS_CACHE: dict = {}
-_SUBS_CACHE_MAX = 1 << 17
+_SUBS = memo.register("subs", 1 << 17)
+#: ``divide_exact`` results (``None`` included) keyed by (a, b).
+_DIVIDE_EXACT = memo.register("divide_exact", 1 << 16)
+#: ``shift_difference`` results keyed by (expr, index).
+_SHIFT_DIFFERENCE = memo.register("shift_difference", 1 << 16)
 
 
 def _interned(key: tuple, cls, populate) -> "Expr":
@@ -193,8 +182,6 @@ class Expr:
             for k in mapping
         ):
             return self
-        if not _MEMO_ENABLED:
-            return self._subs_impl(mapping)
         try:
             key = (
                 self,
@@ -210,12 +197,9 @@ class Expr:
             )
         except (TypeError, ValueError):
             return self._subs_impl(mapping)
-        hit = _SUBS_CACHE.get(key)
+        hit = _SUBS.get(key)
         if hit is None:
-            hit = self._subs_impl(mapping)
-            if len(_SUBS_CACHE) >= _SUBS_CACHE_MAX:
-                _SUBS_CACHE.clear()
-            _SUBS_CACHE[key] = hit
+            hit = _SUBS.put(key, self._subs_impl(mapping))
         return hit
 
     def _subs_impl(self, mapping: Mapping["Symbol", ExprLike]) -> "Expr":
@@ -1064,21 +1048,13 @@ def divide_exact(a: ExprLike, b: ExprLike) -> Expr | None:
         raise ZeroDivisionError("divide_exact by zero")
     if a.is_zero:
         return ZERO
-    if _MEMO_ENABLED:
-        return _divide_exact_cached(a, b)
-    return _divide_exact_impl(a, b)
-
-
-@lru_cache(maxsize=1 << 16)
-def _divide_exact_cached(a: Expr, b: Expr) -> Expr | None:
-    return _divide_exact_impl(a, b)
-
-
-def _divide_exact_impl(a: Expr, b: Expr) -> Expr | None:
-    quotient = a / b
-    if _is_polynomial(quotient):
-        return quotient
-    return None
+    hit = _DIVIDE_EXACT.get((a, b), memo.MISS)
+    if hit is memo.MISS:
+        quotient = a / b
+        hit = _DIVIDE_EXACT.put(
+            (a, b), quotient if _is_polynomial(quotient) else None
+        )
+    return hit
 
 
 def shift_difference(expr: ExprLike, index: "Symbol") -> Expr:
@@ -1089,14 +1065,12 @@ def shift_difference(expr: ExprLike, index: "Symbol") -> Expr:
     it), so it is cached on the interned operands.
     """
     expr = as_expr(expr)
-    if _MEMO_ENABLED:
-        return _shift_difference_cached(expr, index)
-    return expr.subs({index: index + 1}) - expr
-
-
-@lru_cache(maxsize=1 << 16)
-def _shift_difference_cached(expr: Expr, index: "Symbol") -> Expr:
-    return expr.subs({index: index + 1}) - expr
+    hit = _SHIFT_DIFFERENCE.get((expr, index))
+    if hit is None:
+        hit = _SHIFT_DIFFERENCE.put(
+            (expr, index), expr.subs({index: index + 1}) - expr
+        )
+    return hit
 
 
 def _is_polynomial(expr: Expr) -> bool:

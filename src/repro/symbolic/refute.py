@@ -33,13 +33,13 @@ from typing import Optional
 
 import numpy as np
 
+from .. import memo
 from ..check.faults import fire as _fault_fire
 from ..errors import ProverTimeout
 from .compile import UncompilableExpr, compile_expr
 from .expr import Expr
 
 __all__ = [
-    "clear_refutation_banks",
     "refutation_stats",
     "refute_nonneg",
 ]
@@ -52,11 +52,17 @@ BANK_SIZE = 32
 #: Master switch; the perf harness moves it via ``_set_refutation_default``.
 _REFUTE_ENABLED = True
 
-#: One bank per context fingerprint.
-_BANKS: dict = {}
-_BANKS_MAX = 4096
-
 _STATS = {"refuted": 0, "passed": 0, "declined": 0}
+
+
+def _reset_stats() -> None:
+    for key in _STATS:
+        _STATS[key] = 0
+
+
+#: One sample bank per context fingerprint; clearing it also zeroes the
+#: refuted/passed/declined counters.
+_SAMPLES = memo.register("refute_samples", 4096, on_clear=_reset_stats)
 
 
 def _set_refutation_default(enabled: bool) -> bool:
@@ -65,13 +71,6 @@ def _set_refutation_default(enabled: bool) -> bool:
     old = _REFUTE_ENABLED
     _REFUTE_ENABLED = bool(enabled)
     return old
-
-
-def clear_refutation_banks() -> None:
-    """Drop every sample bank (used by the perf harness between modes)."""
-    _BANKS.clear()
-    for key in _STATS:
-        _STATS[key] = 0
 
 
 def refutation_stats() -> dict:
@@ -100,6 +99,12 @@ class _SampleBank:
     loop-variable columns and the validity mask are built eagerly since
     the loop stack is fixed per fingerprint.
     """
+
+    def __reduce__(self):
+        # Bank contents are a pure function of the context fingerprint,
+        # so a pickle (a plan bundle) carries only the context and
+        # re-derives the samples on load.
+        return (_SampleBank, (self.ctx.portable(),))
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -194,13 +199,13 @@ class _SampleBank:
 
 def _bank_for(ctx) -> Optional[_SampleBank]:
     key = ctx._fingerprint()
-    bank = _BANKS.get(key)
-    if bank is None:
-        if len(_BANKS) >= _BANKS_MAX:
-            _BANKS.clear()
+    bank = _SAMPLES.get(key, memo.MISS)
+    if bank is memo.MISS:
+        # An unusable bank is remembered as ``None``: its samples are
+        # never read, so neither the process nor a plan bundle keeps them.
         bank = _SampleBank(ctx)
-        _BANKS[key] = bank
-    return bank if bank.usable else None
+        bank = _SAMPLES.put(key, bank if bank.usable else None)
+    return bank
 
 
 def refute_nonneg(ctx, expr: Expr) -> bool:

@@ -196,22 +196,34 @@ class TestSwitches:
         import repro.dsm.executor as executor
         import repro.ir.interp as interp
         import repro.locality.engine as engine
-        import repro.symbolic.expr as expr
         import repro.symbolic.refute as refute
 
         try:
             set_optimizations(False)
-            assert expr._MEMO_ENABLED is False
             assert interp._VECTOR_ENABLED is False
             assert executor._FAST_MODE == "legacy"
             assert refute._REFUTE_ENABLED is False
             assert engine._CACHE_ENABLED is False
             set_optimizations(True)
-            assert expr._MEMO_ENABLED is True
             assert interp._VECTOR_ENABLED is True
             assert executor._FAST_MODE == "wide"
             assert refute._REFUTE_ENABLED is True
             assert engine._CACHE_ENABLED is True
+        finally:
+            set_optimizations(True)
+
+    def test_baseline_memoizes_from_cold_banks(self):
+        from repro import memo
+        from repro.codes import ALL_CODES
+        from repro.locality import build_lcg
+
+        builder, env, back_edges = ALL_CODES["jacobi"]
+        try:
+            set_optimizations(False)
+            bench.clear_caches()
+            assert all(len(b) == 0 for b in memo.banks().values())
+            build_lcg(builder(), env=env, H_value=4, back_edges=back_edges)
+            assert len(memo.banks()["nonneg"]) > 0
         finally:
             set_optimizations(True)
 

@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro import AnalysisOptions, Collector, analyze
+from repro import AnalysisOptions, Collector, analyze, memo
 from repro.codes import ALL_CODES
 from repro.perf.bench import clear_caches
 from repro.plan import (
@@ -253,4 +253,4 @@ class TestIntegritySweep:
         assert install_plan(plan, obs=obs) is False
         assert obs.counters.get("plan.integrity_failed", 0) == 1
         # nothing was seeded: the nonneg memo stays empty
-        assert len(_context._NONNEG_CACHE) == 0
+        assert len(memo.banks()["nonneg"]) == 0

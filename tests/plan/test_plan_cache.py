@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from repro import AnalysisOptions, Collector, analyze
+from repro import AnalysisOptions, Collector, analyze, memo
 from repro.codes import ALL_CODES
 from repro.errors import CacheLoadWarning
 from repro.perf.bench import clear_caches
@@ -47,21 +47,20 @@ class TestRoundTrip:
         assert loaded.stats["load_failed"] == 0
         assert set(loaded.plans) == {plan.key}
         assert loaded.plans[plan.key].edge_fps == plan.edge_fps
-        for bank in ("subs", "nonneg", "decide", "coalesce", "compiled"):
+        for bank in memo.banks():
             assert bank in loaded.banks
 
     def test_install_banks_reseeds_memos(self, tmp_path):
-        from repro.symbolic import context as _context
-
+        nonneg = memo.banks()["nonneg"]
         bundle, _ = _recorded_bundle()
         path = tmp_path / "plans.pkl"
         bundle.save(path)
         clear_caches()
-        assert len(_context._NONNEG_CACHE) == 0
+        assert len(nonneg) == 0
         obs = Collector(trace=False, metrics=True)
         loaded = PlanCache.load(path, obs=obs)
         loaded.install_banks(obs=obs)
-        assert len(_context._NONNEG_CACHE) > 0
+        assert len(nonneg) > 0
         assert obs.counters.get("plan.banks_installed", 0) == 1
 
     def test_missing_file_is_silent_cold_start(self, tmp_path):

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import memo
 from repro.symbolic import (
     Context,
     LoopVar,
-    clear_refutation_banks,
     num,
     pow2,
     refutation_stats,
@@ -25,11 +25,11 @@ n, m, x, P, p, i = symbols("n m x P p i")
 
 @pytest.fixture(autouse=True)
 def fresh_banks():
-    clear_refutation_banks()
+    memo.banks()["refute_samples"].clear()
     old = set_refutation(True)
     yield
     set_refutation(old)
-    clear_refutation_banks()
+    memo.banks()["refute_samples"].clear()
 
 
 class TestSoundness:
@@ -139,7 +139,7 @@ class TestDeterminism:
         ctx = Context().assume_positive("n", "m")
         exprs = [n - m, m - n, n + m - 3, 2 * n - 3 * m]
         first = [refute_nonneg(ctx, e) for e in exprs]
-        clear_refutation_banks()
+        memo.banks()["refute_samples"].clear()
         second = [refute_nonneg(ctx, e) for e in exprs]
         assert first == second
 
@@ -173,7 +173,7 @@ class TestToggleAndStats:
         stats = refutation_stats()
         assert stats["refuted"] == 1
         assert stats["passed"] == 1
-        clear_refutation_banks()
+        memo.banks()["refute_samples"].clear()
         assert refutation_stats() == {
             "refuted": 0, "passed": 0, "declined": 0,
         }
