@@ -12,7 +12,7 @@ Quickstart::
     from repro.codes import build_tfft2
     from repro.codes.tfft2 import REFERENCE_ENV
 
-    opts = AnalysisOptions(engine="parallel", trace=True, metrics=True)
+    opts = AnalysisOptions(trace=True, metrics=True)
     result = analyze(build_tfft2(), env=REFERENCE_ENV, H=8, options=opts)
     print(result.lcg.render())
     print(result.plan.phase_chunks)
@@ -73,29 +73,12 @@ class AnalysisResult:
         return result_document(self)
 
 
-def _fold_legacy(options, parallel, cache):
-    """Fold analyze()'s legacy ``parallel``/``cache`` args into options."""
-    if options is None:
-        options = AnalysisOptions()
-    elif isinstance(options, str):
-        options = AnalysisOptions.from_spec(options)
-    if parallel is not None and options.engine is None:
-        options = replace(
-            options, engine="parallel" if parallel else "serial"
-        )
-    if cache is not None and options.analysis_cache is None:
-        options = replace(options, analysis_cache=cache)
-    return options
-
-
 def analyze(
     program: Program,
     env: Mapping[str, int],
     H: int,
     back_edges: Optional[list] = None,
     execute: bool = True,
-    parallel: Optional[bool] = None,
-    cache=None,
     options: Optional[AnalysisOptions] = None,
     collector: Optional[Collector] = None,
     ilp_memo=None,
@@ -110,12 +93,10 @@ def analyze(
 
     ``options`` is an :class:`AnalysisOptions` (or a ``KEY=VALUE,...``
     spec string) scoping every engine knob to this call; fields left at
-    ``None`` inherit the process defaults the deprecated ``set_*`` shims
-    still move.  ``collector`` supplies an external
-    :class:`repro.obs.Collector` to record into (e.g. to wrap the parse
-    stage too); otherwise one is created when the options ask for
-    tracing or metrics.  The legacy ``parallel``/``cache`` arguments
-    keep working and fold into the options.
+    ``None`` inherit the process defaults.  ``collector`` supplies an
+    external :class:`repro.obs.Collector` to record into (e.g. to wrap
+    the parse stage too); otherwise one is created when the options ask
+    for tracing or metrics.
 
     ``ilp_memo`` is a :class:`repro.distribution.TermMemo` a session or
     sweep carries across calls so the Eq. 7 enumeration reuses
@@ -138,7 +119,11 @@ def analyze(
         plan_key,
     )
 
-    opts = _fold_legacy(options, parallel, cache)
+    opts = options
+    if opts is None:
+        opts = AnalysisOptions()
+    elif isinstance(opts, str):
+        opts = AnalysisOptions.from_spec(opts)
 
     obs = collector
     if obs is None and (opts.trace or opts.metrics):
@@ -197,10 +182,10 @@ def analyze(
     try:
         with obs_span(obs, "analyze", program=program.name, H=H):
             if obs is not None:
-                # Serial Theorem-1 pre-pass: memoizes every (phase,
-                # array) verdict up front so edge spans are leaves in
-                # both serial and parallel dispatch — the span tree is
-                # structurally identical across engines.
+                # Theorem-1 pre-pass: one span per (phase, array)
+                # verdict, carrying its clause (holds/case).  It also
+                # memoizes every verdict up front, so the edge spans
+                # under "lcg" are leaves.
                 with obs_span(obs, "descriptors"):
                     for phase in program.phases:
                         arrays = sorted(
@@ -216,12 +201,7 @@ def analyze(
                 env=env,
                 H_value=H,
                 back_edges=back_edges,
-                parallel=(
-                    None if opts.engine is None
-                    else opts.engine == "parallel"
-                ),
                 cache=cache_arg,
-                workers=opts.parallel_workers,
                 plan=exec_plan,
             )
             if recorder is not None:

@@ -1,26 +1,26 @@
 """Fault injection — controlled failure points for the degradation paths.
 
-Every accelerator stage of the pipeline owns a *fallback*: the parallel
-engine falls back to serial dispatch, a corrupt cache pickle loads
-empty, a timed-out refutation declines into the full proof search, an
-uncompilable expression is interpreted.  This module provides the seams
-that let tests (and ``python -m repro check --faults ...``) force each
-failure deterministically and prove the fallback yields a correct
-result *and* increments its obs counter — without which the fallbacks
-are dead code trusted on faith.
+Every accelerator stage of the pipeline owns a *fallback*: a crashed
+cluster worker is respawned and its request replayed, a corrupt cache
+pickle loads empty, a timed-out refutation declines into the full proof
+search, an uncompilable expression is interpreted.  This module provides
+the seams that let tests (and ``python -m repro check --faults ...``)
+force each failure deterministically and prove the fallback yields a
+correct result *and* increments its obs counter — without which the
+fallbacks are dead code trusted on faith.
 
 Usage::
 
     from repro.check import faults
 
-    with faults.inject("worker_crash") as armed:
-        result = analyze(...)          # pool breaks, serial fallback runs
-    assert armed["worker_crash"] > 0   # the seam was actually reached
+    with faults.inject("corrupt_cache") as armed:
+        result = analyze(...)          # warm start fails, cache loads cold
+    assert armed["corrupt_cache"] > 0  # the seam was actually reached
 
 Arming is process-global but records the arming PID, so a fault marked
-``subprocess_only`` (``worker_crash``) fires only in forked pool
-workers, never in the parent's serial fallback — the fallback must
-stay healthy for the degradation contract to be testable.
+``subprocess_only`` (``worker_crash``) fires only in forked cluster
+workers, never in the arming router process — the router must stay
+healthy to respawn the worker and replay its request.
 
 The seams themselves live in product code and cost one dict lookup on
 an (almost always) empty dict when nothing is armed:
@@ -28,8 +28,8 @@ an (almost always) empty dict when nothing is armed:
 =================  ======================================  =======================
 fault              seam                                     degraded path / counter
 =================  ======================================  =======================
-``worker_crash``   ``locality.engine._edge_worker``         serial re-dispatch;
-                                                            ``engine.pool_fallback``
+``worker_crash``   ``cluster.worker._install_crash_seam``   respawn + replay;
+                                                            ``router.replays``
 ``corrupt_cache``  ``locality.engine.AnalysisCache.load``   cold (empty) cache;
                                                             ``analysis_cache.load_failed``
 ``prover_timeout`` ``symbolic.refute.refute_nonneg``        full proof search;

@@ -6,7 +6,7 @@ Usage::
     python -m repro --code tfft2 --H 8            # a bundled suite code
     python -m repro --code adi --H 4 --dot A      # emit Graphviz for A
     python -m repro --code tfft2 --H 64 --profile # cProfile the pipeline
-    python -m repro --code tfft2 --H 64 --opt engine=parallel,cache=lcg.pkl
+    python -m repro --code tfft2 --H 64 --opt cache=lcg.pkl,refutation=off
     python -m repro --code tfft2 --H 64 --trace t.json --metrics
     python -m repro --code tfft2 --H 8 --json     # protocol document
     python -m repro bench-perf --out BENCH_perf.json   # perf harness
@@ -144,8 +144,8 @@ def main(argv=None) -> int:
         default=[],
         metavar="KEY=VALUE,...",
         help="engine options (repeatable), e.g. "
-        "engine=parallel,cache=lcg.pkl,refutation=off,workers=4,"
-        "fast_path=symbolic — executor tiers interp|legacy|wide|symbolic "
+        "cache=lcg.pkl,refutation=off,plan_cache=plans.pkl,"
+        "fast_path=symbolic — executor tiers off|legacy|wide|symbolic "
         "(symbolic: closed-form counts, no enumeration) — the grammar "
         "of AnalysisOptions.from_spec",
     )

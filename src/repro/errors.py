@@ -16,7 +16,6 @@ cycles.
 from __future__ import annotations
 
 __all__ = [
-    "AnalysisError",
     "CacheLoadWarning",
     "ProverTimeout",
     "ReproError",
@@ -26,17 +25,6 @@ __all__ = [
 
 class ReproError(Exception):
     """Base class of every structured pipeline error."""
-
-
-class AnalysisError(ReproError):
-    """An edge/intra analysis task raised — a genuine analysis bug.
-
-    Raised (wrapping the original exception as ``__cause__``) when a
-    parallel edge worker's :func:`repro.locality.inter.analyze_edge`
-    fails.  Deliberately *not* degraded to the serial path: the same
-    task would raise there too, and silently recomputing would mask the
-    bug behind a quietly-slow build.
-    """
 
 
 class ProverTimeout(ReproError):

@@ -7,9 +7,8 @@ analyzable language — imperfect nests, guards, symbolic strides,
 triangular and ``2**L`` bounds, zero-trip and negative-step loops —
 renders them to the mini-Fortran front end, and the driver
 (:mod:`repro.fuzz.driver`) pushes each program through every
-differential oracle in :mod:`repro.check` plus a serial-vs-parallel
-engine byte-identity check.  Failures are minimised at the spec level
-(:mod:`repro.fuzz.shrink`) into committable repros.
+differential oracle in :mod:`repro.check`.  Failures are minimised at
+the spec level (:mod:`repro.fuzz.shrink`) into committable repros.
 
 Everything is deterministic in the seed: CI reproduces any nightly
 failure with ``python -m repro fuzz --seeds <seed>``.

@@ -5,7 +5,8 @@ Checks, with the same sound symbolic machinery the analysis uses:
 * **bounds**: every subscript provably stays inside ``[0, size)`` over
   the whole iteration space (via monotone bound elimination);
 * **non-emptiness**: every loop provably executes at least once
-  (``lower <= upper``);
+  (``lower <= upper``); a provably empty loop is only a warning, since
+  the analysis handles zero-trip loops soundly;
 * **structure**: exactly one parallel loop per phase (enforced by the
   IR) and at least one reference per phase;
 * **parameters**: every free symbol of every bound/subscript is a
@@ -13,7 +14,7 @@ Checks, with the same sound symbolic machinery the analysis uses:
 
 Failures are *diagnostics*, not exceptions: incomplete symbolic
 knowledge yields ``warning`` severity ("could not prove"), a definite
-violation yields ``error``.
+violation yields ``error``, except an empty loop (see above).
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def _check_loops(
         if phase_ctx.is_positive(-slack):
             diags.append(
                 Diagnostic(
-                    "error", phase.name, f"loop {loop.index}",
+                    "warning", phase.name, f"loop {loop.index}",
                     f"empty range: upper {loop.upper} < lower {loop.lower}",
                 )
             )

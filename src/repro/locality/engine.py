@@ -1,30 +1,23 @@
-"""The locality-analysis engine: fingerprint cache + parallel fan-out.
+"""The locality-analysis engine: a fingerprint cache over edge analyses.
 
 ``build_lcg`` used to call :func:`repro.locality.inter.analyze_edge`
-serially per (array, edge) and re-derive every Theorem 1/2 verdict from
-scratch on each build.  This module supplies the two independent levers
-the builder now routes through:
+per (array, edge) and re-derive every Theorem 1/2 verdict from scratch
+on each build.  It now routes through :func:`analyze_edges`, which
+consults an :class:`AnalysisCache` memoizing edge and intra-phase
+analyses under the structural fingerprints of
+:mod:`repro.descriptors.fingerprint`.  Keys are name-independent, so
+structurally identical phases answer each other's queries after a cheap
+*relabel* (names are decoration, the mathematics is shared), and the
+cache pickles to disk for warm CLI starts.  Misses are deduplicated by
+fingerprint and analyzed in work-item order.
 
-* an :class:`AnalysisCache` memoizing edge and intra-phase analyses
-  under the structural fingerprints of
-  :mod:`repro.descriptors.fingerprint`.  Keys are name-independent, so
-  structurally identical phases answer each other's queries after a
-  cheap *relabel* (names are decoration, the mathematics is shared), and
-  the cache pickles to disk for warm CLI starts;
-* a ``concurrent.futures`` process pool fanning the edge work items out
-  (fork start method; transparent serial fallback) with a deterministic
-  index-ordered merge, so parallel and serial builds are byte-identical.
-
-Both levers are configured per call through
-:class:`repro.AnalysisOptions` (``engine=``, ``analysis_cache=``);
-options left at ``None`` inherit the process defaults, which tests move
-via the private ``_set_engine_default``/``_set_analysis_cache_default``
-helpers.
+The cache is configured per call through :class:`repro.AnalysisOptions`
+(``analysis_cache=``); ``None`` inherits the process default, which
+tests move via the private ``_set_analysis_cache_default`` helper.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 import warnings
@@ -33,7 +26,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..check.faults import fire as _fault_fire
 from ..descriptors.fingerprint import edge_fingerprint, phase_array_fingerprint
-from ..errors import AnalysisError, CacheLoadWarning
+from ..errors import CacheLoadWarning
 from ..obs import obs_span
 from ..persist import atomic_write_bytes
 from ..symbolic import sym
@@ -47,25 +40,8 @@ __all__ = [
     "get_analysis_cache",
 ]
 
-#: Dispatch mode for build_lcg's edge fan-out: "serial" | "parallel".
-_ENGINE_MODE = "serial"
-
 #: Master switch for the process-global analysis cache.
 _CACHE_ENABLED = True
-
-#: Cap on pool width — the suite's widest program has ~14 edges, so a
-#: handful of workers saturates the win while keeping fork cost small.
-_MAX_WORKERS = 8
-
-
-def _set_engine_default(mode: str) -> str:
-    """Move the default dispatch mode; returns the old one (no warning)."""
-    global _ENGINE_MODE
-    if mode not in ("serial", "parallel"):
-        raise ValueError(f"unknown engine mode {mode!r}")
-    old = _ENGINE_MODE
-    _ENGINE_MODE = mode
-    return old
 
 
 def _set_analysis_cache_default(enabled: bool) -> bool:
@@ -369,16 +345,17 @@ def intra_cache_store(fp, result: IntraPhaseResult) -> None:
 
 
 # ---------------------------------------------------------------------------
-# edge fan-out
+# edge dispatch
 # ---------------------------------------------------------------------------
 
 
 def _seed_intra(cache: AnalysisCache, item, analysis: EdgeAnalysis, ctx) -> None:
-    """Warm the intra cache from a finished edge analysis.
+    """Copy a finished edge analysis's Theorem-1 verdicts into ``cache``.
 
-    Matters for the parallel path: Theorem 1 runs in worker processes,
-    whose per-phase memos die with them — without seeding, a later
-    ``check_intra_phase`` in the parent would redo the work.
+    ``check_intra_phase`` stores its verdicts in the process-global
+    cache only, so a caller-supplied :class:`AnalysisCache` (a session's,
+    a server's, a warm-start file) would otherwise hold edges without
+    the intra verdicts they were derived from.
     """
     phase_k, phase_g, array = item
     for phase, result in ((phase_k, analysis.intra_k), (phase_g, analysis.intra_g)):
@@ -387,98 +364,24 @@ def _seed_intra(cache: AnalysisCache, item, analysis: EdgeAnalysis, ctx) -> None
             cache.store_intra(fp, result)
 
 
-def _edge_worker(task):
-    """Analyze one edge; ship the worker's span/counter payload back.
-
-    ``ctx.obs`` unpickles as a *fresh, empty* collector in the worker
-    (``Collector.__reduce__`` ships configuration only), so the payload
-    holds exactly this edge's spans and counters; the parent merges the
-    payloads in ``compute`` order, keeping parallel traces structurally
-    identical to serial ones.
-    """
-    idx, phase_k, phase_g, array, ctx, H, env, H_value = task
-    obs = getattr(ctx, "obs", None)
-    label = f"edge:{array.name}:{phase_k.name}->{phase_g.name}"
-    with obs_span(obs, label):
-        if _fault_fire("worker_crash"):
-            os._exit(87)  # simulate the worker process dying mid-task
-        try:
-            analysis = analyze_edge(
-                phase_k, phase_g, array, ctx, H, env=env, H_value=H_value
-            )
-        except Exception as exc:
-            raise AnalysisError(
-                f"edge analysis failed for {label}: {exc!r}"
-            ) from exc
-    payload = obs.payload() if obs is not None else None
-    return idx, (analysis, payload)
-
-
-def _note_pool_fallback(obs, exc) -> None:
-    if obs is not None:
-        obs.count("engine.pool_fallback")
-    warnings.warn(
-        f"parallel engine unavailable ({type(exc).__name__}: {exc}); "
-        "falling back to serial dispatch",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _run_parallel(tasks, workers: Optional[int] = None, obs=None) -> Optional[dict]:
-    """Fan tasks out over a fork pool; None signals 'fall back to serial'.
-
-    Only *infrastructure* failures degrade to the serial path — the
-    pool cannot be set up, a worker process dies, arguments or results
-    fail to pickle — each counted as ``engine.pool_fallback`` with a
-    warning.  An exception raised by the edge analysis itself surfaces
-    as :class:`AnalysisError` (wrapped in the worker): that is a
-    genuine analysis bug, and silently recomputing it serially would
-    only mask it behind a quietly-slow build.
-    """
-    try:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-
-        mp_ctx = mp.get_context("fork")
-        width = min(len(tasks), mp.cpu_count() or 1, workers or _MAX_WORKERS)
-        pool = ProcessPoolExecutor(max_workers=width, mp_context=mp_ctx)
-    except Exception as exc:
-        _note_pool_fallback(obs, exc)
-        return None
-    try:
-        with pool:
-            return dict(pool.map(_edge_worker, tasks))
-    except AnalysisError:
-        raise
-    except Exception as exc:
-        _note_pool_fallback(obs, exc)
-        return None
-
-
 def analyze_edges(
     items: Sequence,
     ctx,
     H,
     env: Optional[Mapping[str, int]] = None,
     H_value: Optional[int] = None,
-    parallel: Optional[bool] = None,
     cache=None,
-    workers: Optional[int] = None,
     fps: Optional[Sequence] = None,
 ) -> list:
     """Analyze ``(phase_k, phase_g, array)`` work items, in order.
 
     The cache is consulted per item; misses are deduplicated by
-    fingerprint, dispatched (serially or over the pool, per the module
-    toggle unless ``parallel`` overrides, ``workers`` capping the pool
-    width), then merged back by item index — the result list is
-    identical for every dispatch mode.  ``fps`` optionally supplies the
-    items' pre-computed edge fingerprints (from a compiled plan),
-    skipping the per-item recomputation.
+    fingerprint and analyzed once each, in item order, and followers
+    take their leader's analysis relabelled to their own names.
+    ``fps`` optionally supplies the items' pre-computed edge
+    fingerprints (from a compiled plan), skipping the per-item
+    recomputation.
     """
-    if parallel is None:
-        parallel = _ENGINE_MODE == "parallel"
     cache = _resolve_cache(cache)
     obs = getattr(ctx, "obs", None)
 
@@ -526,31 +429,14 @@ def analyze_edges(
             if obs is not None:
                 obs.count("engine.deduped")
 
-    computed: Optional[dict] = None
-    if parallel and len(compute) > 1:
-        tasks = [
-            (i, items[i][0], items[i][1], items[i][2], ctx, H, env, H_value)
-            for i in compute
-        ]
-        computed = _run_parallel(tasks, workers=workers, obs=obs)
-        if computed is not None and obs is not None:
-            obs.count("engine.parallel_batches")
-    if computed is None:
-        computed = {}
-        for i in compute:
-            phase_k, phase_g, array = items[i]
-            label = f"edge:{array.name}:{phase_k.name}->{phase_g.name}"
-            with obs_span(obs, label):
-                analysis = analyze_edge(
-                    phase_k, phase_g, array, ctx, H, env=env, H_value=H_value
-                )
-            computed[i] = (analysis, None)
-
     for i in compute:
-        analysis, payload = computed[i]
+        phase_k, phase_g, array = items[i]
+        label = f"edge:{array.name}:{phase_k.name}->{phase_g.name}"
+        with obs_span(obs, label):
+            analysis = analyze_edge(
+                phase_k, phase_g, array, ctx, H, env=env, H_value=H_value
+            )
         if obs is not None:
-            if payload is not None:
-                obs.merge(payload)
             obs.count("engine.computed")
         results[i] = analysis
         if cache is not None and fps[i] is not None:

@@ -195,9 +195,7 @@ def build_lcg(
     H_value: Optional[int] = None,
     back_edges: Optional[list] = None,
     drop_d_edges: bool = True,
-    parallel: Optional[bool] = None,
     cache=None,
-    workers: Optional[int] = None,
     plan=None,
 ) -> LCG:
     """Build and label the LCG of a program.
@@ -212,10 +210,9 @@ def build_lcg(
     still reports them.  Pass False to keep every edge live.
 
     Edge analysis routes through :mod:`repro.locality.engine`:
-    ``parallel`` overrides the engine dispatch mode for this build,
-    ``cache`` the analysis-cache setting (an :class:`AnalysisCache`
-    instance, a bool, or None for the module toggles) and ``workers``
-    caps the parallel pool width.  ``plan`` optionally supplies a
+    ``cache`` overrides the analysis-cache setting (an
+    :class:`AnalysisCache` instance, a bool, or None for the module
+    toggle).  ``plan`` optionally supplies a
     :class:`repro.plan.AnalysisPlan` whose pre-computed edge
     fingerprints replace the per-item recomputation (a mismatching
     plan is ignored, never trusted).
@@ -256,9 +253,7 @@ def build_lcg(
             H,
             env=env,
             H_value=H_value,
-            parallel=parallel,
             cache=cache,
-            workers=workers,
             fps=fps,
         )
     for (ph_k, ph_g, array), analysis in zip(work, analyses):

@@ -3,13 +3,11 @@
 The pipeline is instrumented with *spans* (named wall-clock intervals
 with a parent and free-form attributes) and *counters/gauges* (named
 numbers).  Both live on a :class:`Collector` that is carried on the
-analysis :class:`~repro.symbolic.context.Context` — there are no process
-globals, which is what makes the parallel engine work: a ``Collector``
-pickles as its *configuration only* (see :meth:`Collector.__reduce__`),
-so a forked worker's context unpickles with a fresh empty collector,
-records into it, and ships the result back as a :meth:`payload` that the
-parent :meth:`merge`\\ s deterministically in work-item order — exactly
-like the edge results themselves.
+analysis :class:`~repro.symbolic.context.Context`, not in process
+globals.  A ``Collector`` pickles as its *configuration only* (see
+:meth:`Collector.__reduce__`): persisted analysis caches and plan
+bundles can reach a context that carries one, and must not store a
+run's spans.
 
 Outputs:
 
@@ -17,9 +15,7 @@ Outputs:
 * :meth:`Collector.to_json` — a structured JSON document (spans +
   counters + gauges),
 * :meth:`Collector.render` — a flame-style text tree,
-* :meth:`Collector.metrics_snapshot` — the counters/gauges,
-* :meth:`Collector.signature` — names + nesting only, the thing that is
-  asserted identical between serial and parallel engine runs.
+* :meth:`Collector.metrics_snapshot` — the counters/gauges.
 
 Only the standard library is used; the module imports nothing from the
 rest of :mod:`repro`, so every layer may depend on it.
@@ -82,9 +78,9 @@ class Collector:
         self._epoch = time.perf_counter()
 
     def __reduce__(self):
-        # Pickling ships the configuration only: a ProcessPoolExecutor
-        # worker must start from an empty collector (its spans come back
-        # via payload()/merge(), not via pickled state).
+        # Pickling ships the configuration only: a saved analysis cache
+        # or plan bundle reaches collectors through the contexts it
+        # holds, and must not carry a run's spans.
         return (Collector, (self.trace, self.metrics))
 
     def _now(self) -> float:
@@ -124,61 +120,6 @@ class Collector:
 
     def value(self, name: str, default=0):
         return self.counters.get(name, default)
-
-    # -- worker protocol --------------------------------------------------
-
-    def payload(self) -> dict:
-        """Everything recorded so far, as a picklable dict for merge()."""
-        return {
-            "spans": [
-                {
-                    "id": s.id,
-                    "name": s.name,
-                    "parent": s.parent,
-                    "t0": s.t0,
-                    "dt": s.dt,
-                    "attrs": dict(s.attrs),
-                }
-                for s in self.spans
-            ],
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-        }
-
-    def merge(self, payload: dict) -> None:
-        """Fold a worker collector's payload into this one.
-
-        Span ids are rebased past the current table; the payload's roots
-        attach under the currently-open span.  Determinism is the
-        *caller's* job: merge payloads in work-item order and the span
-        table is identical to what the serial path records.
-        """
-        if self.metrics:
-            for name, n in sorted(payload.get("counters", {}).items()):
-                self.counters[name] = self.counters.get(name, 0) + n
-            for name, v in sorted(payload.get("gauges", {}).items()):
-                self.gauges[name] = v
-        spans = payload.get("spans", [])
-        if not self.trace or not spans:
-            return
-        base = len(self.spans)
-        attach = self._stack[-1] if self._stack else None
-        # Shift worker-relative timestamps so the merged subtree ends at
-        # the merge instant (workers have their own epoch).
-        shift = self._now() - max(s["t0"] + s["dt"] for s in spans)
-        for s in spans:
-            self.spans.append(
-                Span(
-                    id=base + s["id"],
-                    name=s["name"],
-                    parent=(
-                        base + s["parent"] if s["parent"] is not None else attach
-                    ),
-                    t0=s["t0"] + shift,
-                    dt=s["dt"],
-                    attrs=dict(s["attrs"]),
-                )
-            )
 
     # -- exports ----------------------------------------------------------
 
@@ -244,14 +185,6 @@ class Collector:
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
         }
-
-    def signature(self) -> tuple:
-        """Structural span signature (names + nesting, no timings)."""
-
-        def walk(node):
-            return (node["name"], tuple(walk(c) for c in node["children"]))
-
-        return tuple(walk(r) for r in self.tree())
 
 
 @contextmanager

@@ -18,12 +18,11 @@ The CLI accepts the same knobs one-to-one via ``--opt KEY=VALUE,...``
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 __all__ = ["AnalysisOptions", "format_chunk_bounds", "parse_chunk_bounds"]
 
-_ENGINES = (None, "serial", "parallel")
 _FAST_PATHS = (None, "symbolic", "wide", "legacy", "off")
 
 _TRUE = ("on", "true", "yes", "1")
@@ -147,9 +146,6 @@ class AnalysisOptions:
 
     Parameters
     ----------
-    engine:
-        LCG edge dispatch: ``"serial"`` or ``"parallel"`` (process-pool
-        fan-out with deterministic merge).
     analysis_cache:
         the fingerprint-keyed memo of edge and Theorem-1 results.
         ``True``/``False`` force the process-global cache on/off, a path
@@ -165,8 +161,6 @@ class AnalysisOptions:
         (affine-rectangular only) or ``"off"`` (always interpret).
         Each tier falls back to the next on anything outside its
         fragment, so counts are identical across tiers.
-    parallel_workers:
-        cap on the parallel engine's pool width (default: engine cap).
     machine_alpha / machine_beta:
         Eq. 7 machine-cost overrides: per-message latency and
         per-element bandwidth in units of one local access.  ``None``
@@ -196,11 +190,9 @@ class AnalysisOptions:
         record counters/gauges; surfaced as ``result.metrics``.
     """
 
-    engine: Optional[str] = None
     analysis_cache: Union[None, bool, str, object] = None
     refutation: Optional[bool] = None
     dsm_fast_path: Optional[str] = None
-    parallel_workers: Optional[int] = None
     machine_alpha: Optional[float] = None
     machine_beta: Optional[float] = None
     chunk_bounds: Optional[str] = None
@@ -210,19 +202,10 @@ class AnalysisOptions:
     metrics: bool = False
 
     def __post_init__(self):
-        if self.engine not in _ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}: expected 'serial' or "
-                f"'parallel'"
-            )
         if self.dsm_fast_path not in _FAST_PATHS:
             raise ValueError(
                 f"unknown dsm_fast_path {self.dsm_fast_path!r}: expected "
                 f"'symbolic', 'wide', 'legacy' or 'off'"
-            )
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1, got {self.parallel_workers}"
             )
         for name in ("machine_alpha", "machine_beta"):
             value = getattr(self, name)
@@ -260,11 +243,11 @@ class AnalysisOptions:
 
     @classmethod
     def from_spec(cls, spec: str, **overrides) -> "AnalysisOptions":
-        """Parse ``"engine=parallel,cache=/tmp/lcg.pkl,..."``.
+        """Parse ``"cache=/tmp/lcg.pkl,refutation=off,..."``.
 
-        Keys: ``engine``, ``cache`` (on/off or a file path),
-        ``refutation`` (on/off), ``fast_path``
-        (symbolic/wide/legacy/off), ``workers`` (int), ``plan``
+        Keys: ``cache`` (on/off or a file path), ``refutation``
+        (on/off), ``fast_path`` (symbolic/wide/legacy/off), ``alpha``
+        and ``beta`` (floats), ``chunks`` (chunk bounds), ``plan``
         (on/off), ``plan_cache`` (a file path), ``trace`` (on/off),
         ``metrics`` (on/off).
         The long Python field names are accepted as aliases.  Literal
@@ -303,9 +286,7 @@ class AnalysisOptions:
                 )
             key = _unescape(key).strip().replace("-", "_")
             value = _unescape(value.strip())
-            if key == "engine":
-                kwargs["engine"] = value
-            elif key in ("cache", "analysis_cache"):
+            if key in ("cache", "analysis_cache"):
                 low = value.lower()
                 if low in _TRUE:
                     kwargs["analysis_cache"] = True
@@ -317,8 +298,6 @@ class AnalysisOptions:
                 kwargs["refutation"] = _parse_bool(key, value)
             elif key in ("fast_path", "dsm_fast_path"):
                 kwargs["dsm_fast_path"] = value
-            elif key in ("workers", "parallel_workers"):
-                kwargs["parallel_workers"] = int(value)
             elif key in ("alpha", "machine_alpha"):
                 kwargs["machine_alpha"] = float(value)
             elif key in ("beta", "machine_beta"):
@@ -335,8 +314,8 @@ class AnalysisOptions:
                 kwargs["metrics"] = _parse_bool(key, value)
             else:
                 raise ValueError(
-                    f"unknown option {key!r}; known keys: engine, cache, "
-                    f"refutation, fast_path, workers, alpha, beta, chunks, "
+                    f"unknown option {key!r}; known keys: cache, "
+                    f"refutation, fast_path, alpha, beta, chunks, "
                     f"plan, plan_cache, trace, metrics"
                 )
         return kwargs
@@ -344,11 +323,9 @@ class AnalysisOptions:
     def to_spec(self) -> str:
         """The inverse of :meth:`from_spec` (explicitly-set keys only)."""
         short = {
-            "engine": "engine",
             "analysis_cache": "cache",
             "refutation": "refutation",
             "dsm_fast_path": "fast_path",
-            "parallel_workers": "workers",
             "machine_alpha": "alpha",
             "machine_beta": "beta",
             "chunk_bounds": "chunks",
@@ -370,12 +347,3 @@ class AnalysisOptions:
                 value = _escape(os.fspath(value))
             parts.append(f"{short[f.name]}={value}")
         return ",".join(parts)
-
-    def merged_defaults(self, **defaults) -> "AnalysisOptions":
-        """A copy where ``None`` fields take the given default values."""
-        updates = {
-            name: value
-            for name, value in defaults.items()
-            if getattr(self, name) is None
-        }
-        return replace(self, **updates) if updates else self

@@ -240,7 +240,7 @@ def request_key(request: AnalyzeRequest, program, env: Mapping[str, int],
     request text, so a bundled-code request and a source-text request
     that lower to the same program coalesce onto one in-flight analysis.
     The canonical options spec (``to_spec`` of the parsed options)
-    normalizes spelling: ``engine=serial`` and ``engine = serial`` — and
+    normalizes spelling: ``fast_path=wide`` and ``fast_path = wide`` — and
     any alias key — produce the same key.
     """
     from ..descriptors.fingerprint import program_fingerprint

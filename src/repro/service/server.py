@@ -33,9 +33,8 @@ incremental-analysis sessions sharing the server's analysis cache.
 The worker pool is deliberately made of *threads*: the pipeline's hot
 loops sit in NumPy/symbolic code, the shared caches make most repeat
 work O(lookup), and an in-process pool is what lets every request share
-one warm cache.  A request may still opt into the fork-based parallel
-LCG engine via ``options="engine=parallel"``; the engine falls back to
-serial dispatch if the pool cannot be created.
+one warm cache.  A request's analysis never forks: process-level
+parallelism is the cluster's (``serve --workers N``, :mod:`repro.cluster`).
 """
 
 from __future__ import annotations

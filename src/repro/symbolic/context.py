@@ -491,8 +491,20 @@ class Context:
         if not minimize:
             return False
         loop_names = {lv.symbol.name for lv in self.loops}
+        # Differencing in a symbol that occurs inside a max/min/floor/ceil
+        # atom never terminates: each difference keeps such an atom with
+        # a negative coefficient, which no rule here can sign, so the
+        # recursion only stops at the depth cap while the expression
+        # grows by a term per level.
+        opaque = frozenset().union(
+            *(
+                a.free_symbols()
+                for a in expr.atoms()
+                if isinstance(a, (Max, Min, CeilDiv, FloorDiv))
+            )
+        )
         for s in sorted(free, key=lambda x: x.name):
-            if s.name in loop_names:
+            if s.name in loop_names or s in opaque:
                 continue
             bound = self.lower_bound_of(s.name)
             if bound is None:

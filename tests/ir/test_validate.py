@@ -89,10 +89,13 @@ class TestLoopsAndStructure:
                 with ph.do("j", 3, 1) as j:  # definitely empty
                     ph.read(A, i)
         diags = diags_of(bld.build())
+        # analyze() handles zero-trip loops soundly, so every surface
+        # that validates first must accept them: a warning, not an error
         assert any(
-            d.severity == "error" and "empty range" in d.message
+            d.severity == "warning" and "empty range" in d.message
             for d in diags
         )
+        assert not any(d.severity == "error" for d in diags)
 
     def test_unprovable_trip_warns(self):
         bld = ProgramBuilder("maybe")

@@ -1,9 +1,9 @@
-"""The locality-analysis engine: cache correctness, parallel determinism.
+"""The locality-analysis engine: cache correctness.
 
 The whole point of the engine layer is that it must be *invisible* in
-the results: parallel fan-out, fingerprint cache hits (including
-cross-name relabelled ones) and disk warm-starts may only change wall
-clock, never a label, reason, witness or chain.  These tests pin that
+the results: fingerprint cache hits (including cross-name relabelled
+ones) and disk warm-starts may only change wall clock, never a label,
+reason, witness or chain.  These tests pin that
 contract on every suite code and on randomized phase pairs.
 """
 
@@ -27,7 +27,6 @@ from repro.locality import (
 from repro.locality.engine import (
     _resolve_cache,
     _set_analysis_cache_default as set_analysis_cache,
-    _set_engine_default as set_engine,
 )
 from repro.symbolic import sym
 
@@ -63,20 +62,14 @@ def _build(name, **kwargs):
 
 @pytest.mark.parametrize("name", sorted(ALL_CODES))
 class TestDeterminism:
-    def test_parallel_matches_serial(self, name):
-        serial = _snapshot(_build(name, parallel=False, cache=False))
-        parallel = _snapshot(_build(name, parallel=True, cache=False))
-        assert parallel == serial
-
     def test_cached_matches_uncached(self, name):
-        reference = _snapshot(_build(name, parallel=False, cache=False))
-        cold = _build(name, parallel=False, cache=True)
+        reference = _snapshot(_build(name, cache=False))
+        cold = _build(name, cache=True)
         assert _snapshot(cold) == reference
         # second build, fresh program objects: answered from the cache
         builder, env, back = ALL_CODES[name]
         warm = build_lcg(
-            builder(), env=env, H_value=4, back_edges=back,
-            parallel=False, cache=True,
+            builder(), env=env, H_value=4, back_edges=back, cache=True
         )
         assert _snapshot(warm) == reference
         stats = get_analysis_cache().stats
@@ -129,7 +122,7 @@ def test_cached_analyze_edges_equals_uncached(spec):
     )
     items = [(prog.phase("Fk"), prog.phase("Fg"), prog.arrays["A"])]
     H = sym("H")
-    kwargs = dict(env={"N": 16}, H_value=spec["h"], parallel=False)
+    kwargs = dict(env={"N": 16}, H_value=spec["h"])
     uncached = analyze_edges(
         items, prog.context, H, cache=False, **kwargs
     )[0]
@@ -176,7 +169,7 @@ class TestRelabel:
         b = _two_phase("two", ("Ga", "Gb"), 2, 2, 0, 16)
         cache = AnalysisCache()
         H = sym("H")
-        kwargs = dict(env={"N": 16}, H_value=4, parallel=False, cache=cache)
+        kwargs = dict(env={"N": 16}, H_value=4, cache=cache)
         first = analyze_edges(
             [(a.phase("Fk"), a.phase("Fg"), a.arrays["A"])],
             a.context, H, **kwargs,
@@ -232,17 +225,6 @@ class TestDiskCache:
 
 
 class TestToggles:
-    def test_set_engine_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            set_engine("turbo")
-
-    def test_set_engine_returns_previous(self):
-        old = set_engine("parallel")
-        try:
-            assert set_engine("serial") == "parallel"
-        finally:
-            set_engine(old if old in ("serial", "parallel") else "serial")
-
     def test_cache_toggle_resolution(self):
         previous = set_analysis_cache(True)
         try:
@@ -258,7 +240,7 @@ class TestToggles:
 
 class TestDropDEdges:
     def test_dropped_edges_filtered_from_live_queries(self):
-        lcg = _build("tfft2", parallel=False, cache=False)
+        lcg = _build("tfft2", cache=False)
         d_labels = [
             (a, u, v)
             for a in lcg.arrays()
@@ -280,7 +262,7 @@ class TestDropDEdges:
         clear_analysis_cache()
         lcg = build_lcg(
             builder(), env=env, H_value=4, back_edges=back,
-            drop_d_edges=False, parallel=False, cache=False,
+            drop_d_edges=False, cache=False,
         )
         kept = [
             e for a in lcg.arrays() for e in lcg.edges(a) if e.label == "D"
@@ -288,7 +270,7 @@ class TestDropDEdges:
         assert kept
 
     def test_labels_still_report_d(self):
-        lcg = _build("tfft2", parallel=False, cache=False)
+        lcg = _build("tfft2", cache=False)
         all_labels = [
             label for a in lcg.arrays() for (_, _, label) in lcg.labels(a)
         ]

@@ -1,15 +1,6 @@
-"""Engine failure semantics: infra degrades, analysis bugs surface.
+"""Engine failure semantics: analysis bugs surface, bad caches degrade.
 
-The old behaviour was one `except Exception: return None` around the
-whole pool, so a genuine bug in `analyze_edge` silently re-ran serially
-(and usually raised there — but only after doubling the work, and any
-parallel-only failure mode was unobservable).  The contract now:
-
-* pool *infrastructure* failures (no pool, dead worker, unpicklable
-  payloads) fall back to serial dispatch, warn, and count
-  ``engine.pool_fallback``;
-* exceptions raised by the analysis itself re-raise as
-  :class:`repro.errors.AnalysisError` with the original as its cause;
+* exceptions raised by the analysis itself propagate unchanged;
 * corrupt cache pickles load cold, warn :class:`CacheLoadWarning`, and
   count ``analysis_cache.load_failed``.
 """
@@ -18,10 +9,9 @@ import pickle
 
 import pytest
 
-from repro.codes import ALL_CODES
-from repro.errors import AnalysisError, CacheLoadWarning
+from repro.errors import CacheLoadWarning
 from repro.ir import ProgramBuilder
-from repro.locality import AnalysisCache, analyze_edges, build_lcg
+from repro.locality import AnalysisCache, analyze_edges
 from repro.obs import Collector
 from repro.symbolic import sym
 
@@ -50,8 +40,8 @@ def _items(prog):
 
 
 class TestTaskExceptions:
-    def test_raising_worker_surfaces_as_analysis_error(self, monkeypatch):
-        """A bug in analyze_edge must NOT silently degrade to serial."""
+    def test_raising_analysis_propagates_unwrapped(self, monkeypatch):
+        """A bug in analyze_edge surfaces as itself, never swallowed."""
         prog = _program()
 
         def broken_analyze_edge(*args, **kwargs):
@@ -60,60 +50,15 @@ class TestTaskExceptions:
         monkeypatch.setattr(
             "repro.locality.engine.analyze_edge", broken_analyze_edge
         )
-        with pytest.raises(AnalysisError, match="injected analysis bug"):
+        with pytest.raises(ValueError, match="injected analysis bug"):
             analyze_edges(
                 _items(prog),
                 prog.context,
                 sym("H"),
                 env={"N": 16},
                 H_value=4,
-                parallel=True,
                 cache=False,
             )
-
-
-class TestPoolSetupFallback:
-    def test_setup_failure_falls_back_serial_with_counter(self, monkeypatch):
-        prog = _program()
-        serial = analyze_edges(
-            _items(prog), prog.context, sym("H"),
-            env={"N": 16}, H_value=4, parallel=False, cache=False,
-        )
-
-        def no_pool(*args, **kwargs):
-            raise RuntimeError("forks disabled on this box")
-
-        monkeypatch.setattr("multiprocessing.get_context", no_pool)
-        obs = Collector(trace=False, metrics=True)
-        prog2 = _program()
-        prog2.context.obs = obs
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            degraded = analyze_edges(
-                _items(prog2), prog2.context, sym("H"),
-                env={"N": 16}, H_value=4, parallel=True, cache=False,
-            )
-        assert obs.counters.get("engine.pool_fallback", 0) == 1
-        assert [e.label for e in degraded] == [e.label for e in serial]
-        assert [e.reason for e in degraded] == [e.reason for e in serial]
-
-    def test_suite_program_identical_after_fallback(self, monkeypatch):
-        builder, env, back = ALL_CODES["tomcatv"]
-        baseline = build_lcg(
-            builder(), env=env, H_value=4, back_edges=back,
-            parallel=False, cache=False,
-        )
-
-        def no_pool(*args, **kwargs):
-            raise RuntimeError("no fork for you")
-
-        monkeypatch.setattr("multiprocessing.get_context", no_pool)
-        with pytest.warns(RuntimeWarning):
-            degraded = build_lcg(
-                builder(), env=env, H_value=4, back_edges=back,
-                parallel=True, cache=False,
-            )
-        for array in sorted(baseline.arrays()):
-            assert baseline.labels(array) == degraded.labels(array)
 
 
 class TestCacheLoadFailures:

@@ -1,4 +1,4 @@
-"""Unit tests for the repro.obs Collector (spans, counters, merge)."""
+"""Unit tests for the repro.obs Collector (spans, counters, exports)."""
 
 import json
 import pickle
@@ -91,40 +91,6 @@ class TestWorkerProtocol:
         assert clone.trace is True and clone.metrics is False
         assert clone.spans == [] and clone.counters == {}
 
-    def test_merge_rebases_ids_and_attaches_to_open_span(self):
-        parent = Collector()
-        worker = Collector()
-        with worker.span("edge:X:a->b"):
-            with worker.span("detail"):
-                pass
-        worker.count("prover.proved", 3)
-        payload = worker.payload()
-        with parent.span("lcg"):
-            parent.merge(payload)
-        (lcg,) = parent.tree()
-        assert lcg["name"] == "lcg"
-        (edge,) = lcg["children"]
-        assert edge["name"] == "edge:X:a->b"
-        assert [k["name"] for k in edge["children"]] == ["detail"]
-        assert parent.value("prover.proved") == 3
-
-    def test_merge_order_determines_signature(self):
-        def worker_payload(name):
-            w = Collector()
-            with w.span(name):
-                pass
-            return w.payload()
-
-        a = Collector()
-        for name in ("e1", "e2"):
-            a.merge(worker_payload(name))
-        b = Collector()
-        with b.span("e1"):
-            pass
-        with b.span("e2"):
-            pass
-        assert a.signature() == b.signature()
-
 
 class TestExports:
     def test_to_json_round_trips(self):
@@ -151,12 +117,3 @@ class TestExports:
         assert "├─ lcg  [edges=14]" in text
         assert "└─ ilp" in text
         assert "ms" in text
-
-    def test_signature_ignores_timings_and_attrs(self):
-        a, b = Collector(), Collector()
-        for c in (a, b):
-            with c.span("root", run=id(c)):
-                with c.span("child"):
-                    pass
-        assert a.signature() == b.signature()
-        assert a.signature() == (("root", (("child", ()),)),)

@@ -62,25 +62,6 @@ class TestByteIdentity:
         assert bundle.stats["installed"] == 1
         assert bundle.stats["rejected"] == 0
 
-    @pytest.mark.parametrize("name", ["jacobi", "tfft2"])
-    def test_plan_replay_matches_direct_parallel(self, name):
-        direct = _run(name)
-        clear_caches()
-
-        bundle = PlanCache()
-        opts = AnalysisOptions(
-            engine="parallel",
-            parallel_workers=2,
-            plan=True,
-            plan_cache=bundle,
-        )
-        recorded = _run(name, options=opts)
-        clear_caches()
-        replayed = _run(name, options=opts)
-        assert recorded == direct
-        assert replayed == direct
-        assert bundle.stats["installed"] == 1
-
     def test_replay_counts_install_in_obs(self):
         bundle = PlanCache()
         opts = AnalysisOptions(plan=True, plan_cache=bundle)
@@ -166,7 +147,10 @@ class TestPlanObject:
         program = builder()
         private = AnalysisCache()
         recorder = PlanRecorder()
-        analyze(program, env=env, H=4, back_edges=back, cache=private)
+        analyze(
+            program, env=env, H=4, back_edges=back,
+            options=AnalysisOptions(analysis_cache=private),
+        )
         plan = recorder.finish(
             program, env=env, H_value=4, back_edges=back, cache=private
         )

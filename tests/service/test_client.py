@@ -129,12 +129,12 @@ def test_analyze_builds_a_valid_request():
             return OK
 
     client = Capture([])
-    client.analyze(code="tfft2", env={"P": 16}, H=8, options="engine=serial")
+    client.analyze(code="tfft2", env={"P": 16}, H=8, options="fast_path=wide")
     import json
 
     doc = json.loads(captured["body"])
     assert captured["method"] == "POST" and captured["path"] == "/analyze"
     assert doc["code"] == "tfft2" and doc["H"] == 8
     assert doc["env"] == {"P": 16}
-    assert doc["options"] == "engine=serial"
+    assert doc["options"] == "fast_path=wide"
     assert doc["version"] == 1

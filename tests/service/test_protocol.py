@@ -48,7 +48,7 @@ class TestRequestValidation:
                 "code": "adi",
                 "env": {"M": 16, "N": 16},
                 "H": 4,
-                "options": "engine=serial",
+                "options": "fast_path=wide",
                 "execute": False,
                 "back_edges": [["F1", "F2"]],
             }
@@ -126,8 +126,8 @@ class TestMaterialization:
 
     def test_request_key_normalizes_option_spelling(self):
         docs = [
-            {"code": "jacobi", "options": "engine=serial"},
-            {"code": "jacobi", "options": " engine = serial ,"},
+            {"code": "jacobi", "options": "fast_path=wide"},
+            {"code": "jacobi", "options": " fast_path = wide ,"},
         ]
         keys = []
         for doc in docs:

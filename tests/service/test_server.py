@@ -83,6 +83,15 @@ class TestEndpoints:
         response.read()
         conn.close()
 
+    @pytest.mark.parametrize("spec", ["engine=serial", "workers=2"])
+    def test_removed_option_key_400(self, server, spec):
+        status, body, _ = _post_raw(
+            _port(server), {"code": "jacobi", "H": 4, "options": spec}
+        )
+        assert status == 400
+        key = spec.split("=")[0]
+        assert f"unknown option {key!r}" in json.loads(body)["error"]
+
     def test_metrics_and_cache_stats_shape(self, server):
         client = ServiceClient(port=_port(server))
         client.analyze(code="jacobi", H=4)
@@ -118,6 +127,36 @@ class TestServedIdentity:
             _port(server), {"version": 1, "code": code, "H": 4}
         )
         assert status == 200 and again == expected
+
+    def test_zero_trip_loop_served_like_analyze(self, server):
+        # fuzz seed 314: loop j is provably empty (M..M-1).  analyze()
+        # accepts it, so the server must answer it, byte-identically.
+        source = """program fuzz_0314
+  param N
+  param M
+  array A(128)
+  array B(128)
+  array D(769)
+
+  phase F0
+    doall i = 0, N - 1
+      do j = M, M - 1
+        D(M * i + j) = f(A(N - 1 - i), B(i))
+      end do
+    end doall
+  end phase
+end program
+"""
+        from repro.ir.parser import parse_and_lower
+
+        env = {"M": 6, "N": 128}
+        result = analyze(parse_and_lower(source), env=env, H=8)
+        expected = dumps_canonical(response_document(result, env, 8)).encode()
+        status, served, _ = _post_raw(
+            _port(server), {"version": 1, "source": source, "env": env, "H": 8}
+        )
+        assert status == 200, served
+        assert served == expected
 
     def test_source_text_matches_bundled_code(self, server):
         # a source request lowering to the same structure coalesces on

@@ -8,6 +8,7 @@ from repro.symbolic import (
     ceil_div,
     num,
     pow2,
+    smax,
     sym,
     symbols,
 )
@@ -49,6 +50,28 @@ class TestBasicFacts:
         assert ctx.is_le(n, 2 * n)
         assert ctx.is_lt(n - 1, n)
         assert not ctx.is_le(2 * n, n)
+
+
+class TestParameterElimination:
+    def test_symbol_inside_max_is_not_differenced(self, monkeypatch):
+        # max(1, n) - 1 >= 0 holds but is out of the prover's reach, and
+        # no sample refutes it.  Differencing n inside the max atom never
+        # vanishes, so the search must give up at once instead of
+        # recursing to the depth cap (64 queries, ~0.8 s, before).
+        from repro import memo
+
+        depths = []
+        uncached = Context._is_nonneg_uncached
+
+        def spy(self, expr, depth):
+            depths.append(depth)
+            return uncached(self, expr, depth)
+
+        monkeypatch.setattr(Context, "_is_nonneg_uncached", spy)
+        memo.clear_all()
+        ctx = Context().assume_positive("n")
+        assert not ctx.is_nonneg(smax(1, sym("n")) - 1)
+        assert len(depths) < 4
 
 
 class TestPow2Facts:

@@ -85,7 +85,7 @@ def test_missing_source():
 def test_opt_spec_and_metrics_table(capsys):
     rc = main(
         ["--code", "jacobi", "--env", "N=256", "--H", "4",
-         "--opt", "engine=serial,refutation=off", "--metrics"]
+         "--opt", "fast_path=wide,refutation=off", "--metrics"]
     )
     assert rc == 0
     out = capsys.readouterr().out
@@ -98,7 +98,7 @@ def test_opt_spec_and_metrics_table(capsys):
 def test_opt_flag_repeats_and_merges(capsys):
     rc = main(
         ["--code", "jacobi", "--env", "N=256", "--H", "4",
-         "--opt", "engine=serial", "--opt", "metrics=on"]
+         "--opt", "fast_path=wide", "--opt", "metrics=on"]
     )
     assert rc == 0
     assert "Metrics" in capsys.readouterr().out
@@ -146,12 +146,33 @@ def test_removed_aliases_are_rejected(capsys):
         assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("spec", ["engine=parallel", "workers=2"])
+def test_removed_opt_keys_exit_with_message(spec):
+    """The parallel engine's keys fail loudly, never with a traceback."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "--code", "jacobi", "--opt", spec],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    key = spec.split("=")[0]
+    assert proc.returncode != 0
+    assert f"unknown option {key!r}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_opt_covers_removed_aliases(tmp_path):
-    """The --opt spellings the aliases mapped to still work."""
+    """The --opt spelling the cache alias mapped to still works."""
     cache = tmp_path / "lcg.pkl"
     rc = main(
         ["--code", "jacobi", "--env", "N=256", "--H", "4",
-         "--opt", f"engine=parallel,cache={cache}"]
+         "--opt", f"cache={cache}"]
     )
     assert rc == 0
     assert cache.exists()

@@ -24,14 +24,12 @@ def _small_program():
 class TestSpecGrammar:
     def test_from_spec_parses_every_key(self):
         opts = AnalysisOptions.from_spec(
-            "engine=parallel,cache=/tmp/lcg.pkl,refutation=off,"
-            "fast_path=legacy,workers=4,trace=on,metrics=on"
+            "cache=/tmp/lcg.pkl,refutation=off,"
+            "fast_path=legacy,trace=on,metrics=on"
         )
-        assert opts.engine == "parallel"
         assert opts.analysis_cache == "/tmp/lcg.pkl"
         assert opts.refutation is False
         assert opts.dsm_fast_path == "legacy"
-        assert opts.parallel_workers == 4
         assert opts.trace is True and opts.metrics is True
 
     def test_cache_accepts_on_off(self):
@@ -40,17 +38,16 @@ class TestSpecGrammar:
 
     def test_long_field_names_are_aliases(self):
         opts = AnalysisOptions.from_spec(
-            "analysis_cache=off,dsm_fast_path=wide,parallel_workers=2"
+            "analysis_cache=off,dsm_fast_path=wide"
         )
         assert opts.analysis_cache is False
         assert opts.dsm_fast_path == "wide"
-        assert opts.parallel_workers == 2
 
     def test_round_trip(self):
         for spec in (
             "",
-            "engine=serial",
-            "engine=parallel,cache=/tmp/c.pkl,workers=3",
+            "fast_path=wide",
+            "cache=/tmp/c.pkl,alpha=2.5,beta=0.5",
             "refutation=off,fast_path=off,trace=on,metrics=on",
             "plan=on",
             "plan=off,plan_cache=/tmp/plans.pkl",
@@ -74,21 +71,30 @@ class TestSpecGrammar:
 
     def test_bad_pair_rejected(self):
         with pytest.raises(ValueError, match="KEY=VALUE"):
-            AnalysisOptions.from_spec("engine")
+            AnalysisOptions.from_spec("metrics")
 
 
 class TestValidation:
     def test_unknown_engine(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            AnalysisOptions(engine="turbo")
+        # the LCG engine is serial only; its knob is gone from both the
+        # spec grammar and the dataclass
+        for mode in ("serial", "parallel"):
+            with pytest.raises(ValueError, match="unknown option 'engine'"):
+                AnalysisOptions.from_spec(f"engine={mode}")
+        with pytest.raises(TypeError, match="engine"):
+            AnalysisOptions(engine="serial")
 
     def test_unknown_fast_path(self):
         with pytest.raises(ValueError, match="unknown dsm_fast_path"):
             AnalysisOptions(dsm_fast_path="hyper")
 
     def test_bad_workers(self):
-        with pytest.raises(ValueError, match="parallel_workers"):
-            AnalysisOptions(parallel_workers=0)
+        # the pool-width knob went with the parallel engine
+        for key in ("workers", "parallel_workers"):
+            with pytest.raises(ValueError, match=f"unknown option '{key}'"):
+                AnalysisOptions.from_spec(f"{key}=2")
+        with pytest.raises(TypeError, match="parallel_workers"):
+            AnalysisOptions(parallel_workers=2)
 
     def test_bad_cache_object(self):
         with pytest.raises(ValueError, match="analysis_cache"):
@@ -109,13 +115,6 @@ class TestValidation:
 
         bundle = PlanCache()
         assert AnalysisOptions(plan_cache=bundle).plan_cache is bundle
-
-    def test_merged_defaults_fills_none_only(self):
-        opts = AnalysisOptions(engine="serial")
-        merged = opts.merged_defaults(engine="parallel", refutation=True)
-        assert merged.engine == "serial"  # explicit value wins
-        assert merged.refutation is True
-
 
 class TestKnobThreading:
     """Each option observably reaches its subsystem, per-call."""
@@ -242,28 +241,9 @@ class TestKnobThreading:
         program, env = _small_program()
         clear_caches()
         result = analyze(
-            program, env=env, H=4, options="engine=serial,metrics=on"
+            program, env=env, H=4, options="refutation=on,metrics=on"
         )
         assert result.metrics is not None
-
-    def test_parallel_workers_cap(self):
-        from repro.codes import ALL_CODES
-
-        builder, env, back = ALL_CODES["tfft2"]
-        clear_caches()
-        result = analyze(
-            builder(),
-            env=env,
-            H=4,
-            back_edges=back,
-            options=AnalysisOptions(
-                engine="parallel", parallel_workers=2, metrics=True
-            ),
-        )
-        assert (
-            result.metrics["counters"].get("engine.parallel_batches", 0) == 1
-        )
-
 
 class TestConfigurationSurface:
     """AnalysisOptions is the only public configuration surface (PR 8)."""
@@ -284,22 +264,9 @@ class TestConfigurationSurface:
 
     def test_default_movers_still_validate(self):
         from repro.dsm.executor import _set_fast_path_default
-        from repro.locality.engine import _set_engine_default
 
-        with pytest.raises(ValueError, match="unknown engine"):
-            _set_engine_default("turbo")
         with pytest.raises(ValueError, match="unknown fast-path"):
             _set_fast_path_default("turbo")
-
-    def test_engine_default_moves(self):
-        from repro.locality import engine
-        from repro.locality.engine import _set_engine_default
-
-        old = _set_engine_default("parallel")
-        try:
-            assert engine._ENGINE_MODE == "parallel"
-        finally:
-            _set_engine_default(old)
 
     def test_refutation_default_moves(self):
         from repro.symbolic import refute
@@ -350,26 +317,20 @@ class TestSpecRoundTripProperty:
     """from_spec(to_spec(opts)) is the identity over the whole field space."""
 
     @given(
-        engine=st.sampled_from([None, "serial", "parallel"]),
         cache=st.one_of(st.none(), st.booleans(), _paths),
         refutation=st.sampled_from([None, True, False]),
         fast_path=st.sampled_from([None, "wide", "legacy", "off"]),
-        workers=st.one_of(
-            st.none(), st.integers(min_value=1, max_value=64)
-        ),
         trace=st.booleans(),
         metrics=st.booleans(),
     )
     @settings(max_examples=300)
     def test_identity(
-        self, engine, cache, refutation, fast_path, workers, trace, metrics
+        self, cache, refutation, fast_path, trace, metrics
     ):
         opts = AnalysisOptions(
-            engine=engine,
             analysis_cache=cache,
             refutation=refutation,
             dsm_fast_path=fast_path,
-            parallel_workers=workers,
             trace=trace,
             metrics=metrics,
         )
@@ -404,14 +365,14 @@ class TestSpecEscaping:
 
     def test_escaped_value_parses_directly(self):
         opts = AnalysisOptions.from_spec(
-            "cache=/tmp/a\\,b\\=c.pkl,engine=serial"
+            "cache=/tmp/a\\,b\\=c.pkl,fast_path=wide"
         )
         assert opts.analysis_cache == "/tmp/a,b=c.pkl"
-        assert opts.engine == "serial"
+        assert opts.dsm_fast_path == "wide"
 
     def test_unescaped_comma_still_separates(self):
-        opts = AnalysisOptions.from_spec("engine=serial,metrics=on")
-        assert opts.engine == "serial" and opts.metrics is True
+        opts = AnalysisOptions.from_spec("fast_path=wide,metrics=on")
+        assert opts.dsm_fast_path == "wide" and opts.metrics is True
 
 
 class TestFromSpecs:
@@ -419,22 +380,22 @@ class TestFromSpecs:
 
     def test_one_spec_per_flag_needs_no_escaping_across_flags(self):
         opts = AnalysisOptions.from_specs(
-            ["engine=parallel", "cache=/tmp/warm\\,start.pkl"]
+            ["fast_path=legacy", "cache=/tmp/warm\\,start.pkl"]
         )
-        assert opts.engine == "parallel"
+        assert opts.dsm_fast_path == "legacy"
         assert opts.analysis_cache == "/tmp/warm,start.pkl"
 
     def test_later_specs_win(self):
-        opts = AnalysisOptions.from_specs(["engine=serial", "engine=parallel"])
-        assert opts.engine == "parallel"
+        opts = AnalysisOptions.from_specs(["fast_path=wide", "fast_path=off"])
+        assert opts.dsm_fast_path == "off"
 
     def test_empty_sequence_is_defaults(self):
         assert AnalysisOptions.from_specs([]) == AnalysisOptions()
 
     def test_multi_key_specs_still_supported(self):
         opts = AnalysisOptions.from_specs(
-            ["engine=serial,metrics=on", "workers=2"]
+            ["fast_path=wide,metrics=on", "refutation=off"]
         )
-        assert opts.engine == "serial"
+        assert opts.dsm_fast_path == "wide"
         assert opts.metrics is True
-        assert opts.parallel_workers == 2
+        assert opts.refutation is False
