@@ -6,7 +6,9 @@ asserts the acceptance bar from the serving milestone:
 
 * every request gets a 2xx response,
 * at least one response was deduplicated (single-flight coalesce or
-  result-LRU hit) — duplicates must not all recompute,
+  a response-cache hit) — duplicates must not all recompute; the
+  byte-keyed hits, structural-key hits and coalesced followers are
+  printed separately,
 * every response is byte-identical to its serial in-process twin,
 * draining persists the warm analysis cache *and* the compiled-plan
   bundle snapshots (both written atomically).
@@ -53,7 +55,7 @@ CODES = ["jacobi", "adi", "tfft2"]  # duplicates by construction
 H_VALUES = [4, 8]
 
 #: The cluster workload: unique (code, H) pairs — uniqueness defeats
-#: the result LRU and single-flight, so throughput measures actual
+#: the response cache and single-flight, so throughput measures actual
 #: pipeline work spread across the shards, not dedup.
 CLUSTER_H_VALUES = [4, 5, 6, 7]
 #: Required aggregate speedup from 1 -> 4 workers, asserted only on
@@ -306,8 +308,11 @@ def main(argv=None) -> int:
 
     coalesced = metrics["coalesce"]["coalesced_hits"]
     lru_hits = metrics["result_cache"]["hits"]
+    bytes_hits = metrics["result_cache"]["bytes_hits"]
+    computed = metrics["counters"].get("analyze.computed", 0)
     print(
-        f"coalesced={coalesced} result_cache_hits={lru_hits} "
+        f"bytes_hits={bytes_hits} key_hits={lru_hits - bytes_hits} "
+        f"coalesced={coalesced} computed={computed} "
         f"latency_p50_ms={metrics['latency']['p50_ms']} "
         f"latency_p95_ms={metrics['latency']['p95_ms']}"
     )

@@ -1,13 +1,24 @@
 """The cluster front end: ``python -m repro serve --workers N``.
 
 A :class:`ThreadingHTTPServer` that owns no analysis state of its own.
-It materializes each ``/analyze`` request just far enough to compute
-the structural :func:`~repro.service.protocol.request_key`, looks the
-key up on the consistent-hash ring, and proxies the request to the
-owning shard's worker process — so every repeat of a program lands on
-the shard whose :class:`~repro.locality.engine.AnalysisCache` is
-already warm for it, and the N shards warm N disjoint key arcs instead
-of N copies of the same one.
+An ``/analyze`` request meets, in order:
+
+1. **the response cache, by body** — the SHA-256 digest of the raw
+   body, looked up in the router's
+   :class:`~repro.service.coalesce.ResponseCache` before the request is
+   parsed: an exact repeat costs one hash and one write
+   (``X-Repro-Source: router-bytes``);
+2. **the response cache, by structure** — the request is materialized
+   (parsed or built, *not* validated: the owning shard validates) just
+   far enough to compute the structural
+   :func:`~repro.service.protocol.request_key` (``router-key``);
+3. **the shard** — the key is looked up on the consistent-hash ring and
+   the request proxied to the owning worker process, whose response
+   bytes and ``X-Repro-Source`` are forwarded unchanged.  Every repeat
+   of a program lands on the shard whose
+   :class:`~repro.locality.engine.AnalysisCache` is already warm for it,
+   and the N shards warm N disjoint key arcs instead of N copies of the
+   same one.
 
 Failure handling, in the order a request meets it:
 
@@ -42,22 +53,23 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from .. import __version__
 from ..document import dumps_canonical
 from ..obs import merge_counter_docs
-from ..service.coalesce import ResultLRU
+from ..service.coalesce import SOURCE_HEADER, ResponseCache
 from ..service.config import ServiceConfig
 from ..service.protocol import (
     PROTOCOL_VERSION,
     AnalyzeRequest,
     ProtocolError,
     build_request_program,
+    materialize_request,
     request_key,
 )
-from ..service.server import MAX_BODY_BYTES
+from ..service.server import JSONRequestHandler
 from ..service.state import ServerMetrics
 from ..session.api import mint_session_id, session_route
 from .jobs import DONE, JobQueue
@@ -68,6 +80,21 @@ __all__ = ["ClusterRouter", "cluster_in_thread", "main_cluster"]
 #: How long a pending-job resubmission waits for the in-flight run
 #: before answering 202 (poll ``GET /jobs/<key>``).
 _PENDING_POLL = 0.05
+
+#: Shard response headers the router passes through to its client.
+_FORWARDED_HEADERS = ("Retry-After", SOURCE_HEADER)
+
+
+def _error_body(message: str) -> bytes:
+    return dumps_canonical({"error": message}).encode("utf-8")
+
+
+def _decode(payload: bytes) -> dict:
+    """A shard's JSON response body as a document."""
+    try:
+        return json.loads(payload) if payload else {}
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return {"error": payload.decode("utf-8", "replace")}
 
 
 class ClusterRouter(ThreadingHTTPServer):
@@ -85,10 +112,10 @@ class ClusterRouter(ThreadingHTTPServer):
             else None
         )
         self.metrics = ServerMetrics(latency_window=config.latency_window)
-        #: Router-level LRU of finished /analyze responses: a repeat of
-        #: a completed request answers here without a proxy hop, on top
-        #: of whatever result cache the owning shard keeps.
-        self.results = ResultLRU(config.result_cache)
+        #: Router-level cache of finished /analyze response bytes: a
+        #: repeat of a completed request answers here without a proxy
+        #: hop, on top of the cache the owning shard keeps.
+        self.results = ResponseCache(config.result_cache)
         self._gauge_lock = threading.Lock()
         self._outstanding = 0  # proxied requests not yet answered
         self._draining = threading.Event()
@@ -157,7 +184,8 @@ class ClusterRouter(ThreadingHTTPServer):
             return self._outstanding
 
     def _proxy(self, port: int, method: str, path: str,
-               body: Optional[bytes] = None) -> Tuple[int, dict]:
+               body: Optional[bytes] = None) -> Tuple[int, bytes, dict]:
+        """One request to a shard; ``(status, body bytes, headers)``."""
         conn = http.client.HTTPConnection(
             self.config.host, port, timeout=self.config.request_timeout + 10
         )
@@ -168,11 +196,12 @@ class ClusterRouter(ThreadingHTTPServer):
             )
             response = conn.getresponse()
             payload = response.read()
-            try:
-                doc = json.loads(payload) if payload else {}
-            except json.JSONDecodeError:
-                doc = {"error": payload.decode("utf-8", "replace")}
-            return response.status, doc
+            headers = {
+                name: response.getheader(name)
+                for name in _FORWARDED_HEADERS
+                if response.getheader(name) is not None
+            }
+            return response.status, payload, headers
         finally:
             conn.close()
 
@@ -182,8 +211,8 @@ class ClusterRouter(ThreadingHTTPServer):
         request_doc: Optional[dict],
         method: str = "POST",
         path: str = "/analyze",
-    ) -> Tuple[int, dict, dict]:
-        """Route one materialized request; ``(status, doc, headers)``.
+    ) -> Tuple[int, bytes, dict]:
+        """Route one materialized request; ``(status, body, headers)``.
 
         ``key`` picks the owning shard on the consistent-hash ring —
         the structural request key for ``/analyze``, the session id for
@@ -194,7 +223,8 @@ class ClusterRouter(ThreadingHTTPServer):
         shard's next generation after a heartbeat, up to
         ``replay_limit`` times.  (A replayed *session* operation may
         answer 404 — the respawned shard lost its session table; the
-        client recreates.  Deterministic failure, never a hang.)
+        client recreates.  Deterministic failure, never a hang.)  The
+        shard's response bytes are returned as they arrived.
         """
         body = (
             None
@@ -209,7 +239,7 @@ class ClusterRouter(ThreadingHTTPServer):
                 if shard is None:
                     return (
                         503,
-                        {"error": "no analysis workers available"},
+                        _error_body("no analysis workers available"),
                         {"Retry-After": "1"},
                     )
                 handle = self.supervisor.handle(shard)
@@ -217,13 +247,11 @@ class ClusterRouter(ThreadingHTTPServer):
                     self.metrics.bump("router.draining_rejects")
                     return (
                         503,
-                        {"error": f"shard {shard} is draining; retry"},
+                        _error_body(f"shard {shard} is draining; retry"),
                         {"Retry-After": "1"},
                     )
                 try:
-                    status, doc = self._proxy(
-                        handle.port, method, path, body
-                    )
+                    answer = self._proxy(handle.port, method, path, body)
                 except (ConnectionError, OSError,
                         http.client.HTTPException):
                     replays += 1
@@ -231,12 +259,9 @@ class ClusterRouter(ThreadingHTTPServer):
                     if replays > self.config.replay_limit:
                         return (
                             502,
-                            {
-                                "error": (
-                                    f"shard {shard} failed "
-                                    f"{replays} times"
-                                )
-                            },
+                            _error_body(
+                                f"shard {shard} failed {replays} times"
+                            ),
                             {},
                         )
                     # Give the supervisor one heartbeat to respawn the
@@ -244,25 +269,34 @@ class ClusterRouter(ThreadingHTTPServer):
                     time.sleep(self.config.heartbeat_every)
                     continue
                 self.metrics.bump("router.routed")
-                return status, doc, {}
+                return answer
         finally:
             self._note_outstanding(-1)
 
-    def route_analyze(self, request: AnalyzeRequest) -> Tuple[int, dict, dict]:
-        program, env, back = build_request_program(request)
+    def route_analyze(
+        self, request: AnalyzeRequest, digest: Optional[bytes] = None
+    ) -> Tuple[int, bytes, dict]:
+        """Answer one parsed ``/analyze`` from the cache or its shard.
+
+        ``digest`` is the raw body's, filed beside the structural key so
+        the next exact repeat is a byte hit.  The program is not
+        validated here: the shard does that once, and its 400 is
+        forwarded unchanged.
+        """
+        program, env, back = materialize_request(request)
         key = request_key(request, program, env, back)
-        cached = self.results.get(key)
+        cached = self.results.get(key, digest)
         if cached is not None:
             self.metrics.bump("router.lru_hit")
-            return 200, cached, {}
-        status, doc, headers = self.dispatch(key, request.to_json())
+            return 200, cached, {SOURCE_HEADER: "router-key"}
+        status, body, headers = self.dispatch(key, request.to_json())
         if status == 200:
-            self.results.put(key, doc)
-        return status, doc, headers
+            self.results.put(key, digest, body)
+        return status, body, headers
 
     # -- the session tier --------------------------------------------------
 
-    def route_session_create(self, body: dict) -> Tuple[int, dict, dict]:
+    def route_session_create(self, body: dict) -> Tuple[int, bytes, dict]:
         """``POST /session``: mint the id, pin the shard, proxy.
 
         The router chooses the session id *before* dispatch so the
@@ -275,13 +309,15 @@ class ClusterRouter(ThreadingHTTPServer):
             sid = mint_session_id()
             doc["session_id"] = sid
         elif not (isinstance(sid, str) and sid):
-            return 400, {"error": "'session_id' must be a non-empty string"}, {}
+            return (
+                400, _error_body("'session_id' must be a non-empty string"), {}
+            )
         return self.dispatch(sid, doc, path="/session")
 
     def route_session(
         self, sid: str, method: str, path: str,
         body: Optional[dict] = None,
-    ) -> Tuple[int, dict, dict]:
+    ) -> Tuple[int, bytes, dict]:
         """Any ``/session/{id}[/verb]`` operation, sticky by id."""
         return self.dispatch(sid, body, method=method, path=path)
 
@@ -291,10 +327,11 @@ class ClusterRouter(ThreadingHTTPServer):
         """Execute one journaled job through the dispatch path."""
         try:
             request = AnalyzeRequest.from_json(request_doc)
-            status, doc, _ = self.route_analyze(request)
-        except ProtocolError as exc:
-            status, doc = 400, {"error": str(exc)}
+            status, body, _ = self.route_analyze(request)
+        except ProtocolError:
+            status = 400
         if 200 <= status < 300:
+            doc = json.loads(body)
             self.jobs.complete(key, doc)
             return doc
         # A journaled job must not be marked done with a transient
@@ -379,13 +416,14 @@ class ClusterRouter(ThreadingHTTPServer):
             if worker["status"] != "ok":
                 continue
             try:
-                status, shard_doc = self._proxy(
+                status, payload, _ = self._proxy(
                     worker["port"], "GET", "/metrics"
                 )
             except (ConnectionError, OSError, http.client.HTTPException):
                 continue
             if status != 200:
                 continue
+            shard_doc = _decode(payload)
             shard_docs[f"shard-{worker['shard']}"] = {
                 "in_flight": shard_doc.get("in_flight"),
                 "queue_depth": shard_doc.get("queue_depth"),
@@ -413,13 +451,13 @@ class ClusterRouter(ThreadingHTTPServer):
             if worker["status"] != "ok":
                 continue
             try:
-                status, shard_doc = self._proxy(
+                status, payload, _ = self._proxy(
                     worker["port"], "GET", "/cache/stats"
                 )
             except (ConnectionError, OSError, http.client.HTTPException):
                 continue
             if status == 200:
-                doc["shards"][f"shard-{worker['shard']}"] = shard_doc
+                doc["shards"][f"shard-{worker['shard']}"] = _decode(payload)
         return doc
 
     # -- autoscale --------------------------------------------------------
@@ -445,51 +483,8 @@ class ClusterRouter(ThreadingHTTPServer):
             self._scale_once()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
-    timeout = 10
+class _RouterHandler(JSONRequestHandler):
     server: ClusterRouter
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if self.server.config.verbose:
-            sys.stderr.write(
-                "%s - - [%s] %s\n"
-                % (self.address_string(), self.log_date_time_string(),
-                   format % args)
-            )
-
-    def _respond(self, status: int, doc, headers: Optional[dict] = None):
-        body = dumps_canonical(doc).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-        self.server.metrics.note_response(status)
-
-    def _error(self, status: int, message: str,
-               headers: Optional[dict] = None):
-        self._respond(status, {"error": message}, headers)
-
-    def _read_body(self) -> Optional[dict]:
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._error(400, "bad Content-Length")
-            return None
-        if length <= 0:
-            self._error(400, "missing request body")
-            return None
-        if length > MAX_BODY_BYTES:
-            self._error(413, f"request body over {MAX_BODY_BYTES} bytes")
-            return None
-        try:
-            return json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._error(400, f"request body is not JSON: {exc}")
-            return None
 
     def do_GET(self):
         if self.path == "/healthz":
@@ -510,10 +505,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         else:
             route = session_route(self.path)
             if route is not None and route[0] == "entity":
-                status, doc, headers = self.server.route_session(
+                self._send(*self.server.route_session(
                     route[1], "GET", self.path
-                )
-                self._respond(status, doc, headers)
+                ))
                 return
             self._error(404, f"no such endpoint {self.path!r}")
 
@@ -527,10 +521,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 503, "router is draining", headers={"Retry-After": "1"}
             )
             return
-        status, doc, headers = self.server.route_session(
-            route[1], "DELETE", self.path
-        )
-        self._respond(status, doc, headers)
+        self._send(*self.server.route_session(route[1], "DELETE", self.path))
 
     def do_POST(self):
         s_route = None
@@ -544,33 +535,41 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 503, "router is draining", headers={"Retry-After": "1"}
             )
             return
-        body = self._read_body()
-        if body is None:
+        raw = self._read_body()
+        if raw is None:
             return
         t0 = time.perf_counter()
         try:
-            if s_route is not None:
-                if not isinstance(body, dict):
-                    self._error(400, "request body must be a JSON object")
+            digest = None
+            if self.path == "/analyze":
+                digest = ResponseCache.digest(raw)
+                cached = self.server.results.get_body(digest)
+                if cached is not None:
+                    # An exact repeat: answered before it is even parsed.
+                    self.server.metrics.bump("router.lru_hit")
+                    self._send(200, cached, {SOURCE_HEADER: "router-bytes"})
                     return
+            body = self._parse_object(raw)
+            if body is None:
+                return
+            if s_route is not None:
                 verb, sid = s_route
                 if verb == "create":
-                    status, doc, headers = (
-                        self.server.route_session_create(body)
-                    )
+                    self._send(*self.server.route_session_create(body))
                 else:
-                    status, doc, headers = self.server.route_session(
+                    self._send(*self.server.route_session(
                         sid, "POST", self.path, body
-                    )
-                self._respond(status, doc, headers)
+                    ))
             elif self.path == "/analyze":
                 try:
                     request = AnalyzeRequest.from_json(body)
-                    status, doc, headers = self.server.route_analyze(request)
+                    status, payload, headers = self.server.route_analyze(
+                        request, digest
+                    )
                 except ProtocolError as exc:
                     self._error(400, str(exc))
                     return
-                self._respond(status, doc, headers)
+                self._send(status, payload, headers)
             else:
                 if self.server.jobs is None:
                     self._error(
@@ -578,9 +577,6 @@ class _RouterHandler(BaseHTTPRequestHandler):
                         "job queue not enabled; start the router with "
                         "--queue-dir",
                     )
-                    return
-                if not isinstance(body, dict):
-                    self._error(400, "request body must be a JSON object")
                     return
                 key = body.get("idempotency_key")
                 request_doc = body.get("request")

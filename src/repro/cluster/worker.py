@@ -2,7 +2,7 @@
 
 The supervisor forks this entrypoint once per shard.  Each worker is a
 complete :class:`~repro.service.server.AnalysisServer` — admission,
-single-flight, result LRU, its own warm
+single-flight, response cache, its own warm
 :class:`~repro.locality.engine.AnalysisCache` and plan bundle with
 shard-private snapshot paths (``ServiceConfig.for_shard``) — bound to
 an ephemeral port that is reported back to the supervisor over a pipe.

@@ -6,7 +6,8 @@ Checks, with the same sound symbolic machinery the analysis uses:
   the whole iteration space (via monotone bound elimination);
 * **non-emptiness**: every loop provably executes at least once
   (``lower <= upper``); a provably empty loop is only a warning, since
-  the analysis handles zero-trip loops soundly;
+  the analysis handles zero-trip loops soundly, and the references
+  under it are exempt from the bounds check because they never run;
 * **structure**: exactly one parallel loop per phase (enforced by the
   IR) and at least one reference per phase;
 * **parameters**: every free symbol of every bound/subscript is a
@@ -20,7 +21,7 @@ violation yields ``error``, except an empty loop (see above).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Set
 
 from ..symbolic import Context, Expr
 from .core import Phase, Program
@@ -40,10 +41,12 @@ class Diagnostic:
 
 
 def _check_bounds(
-    phase: Phase, ctx: Context, diags: List[Diagnostic]
+    phase: Phase, ctx: Context, diags: List[Diagnostic], empty: Set[int]
 ) -> None:
     phase_ctx = phase.loop_context(ctx)
     for acc in phase.accesses():
+        if any(id(loop) in empty for loop in acc.loops):
+            continue  # never executes: no subscript is ever evaluated
         sub = acc.ref.subscript
         size = acc.ref.array.size
         label = str(acc.ref)
@@ -95,13 +98,16 @@ def _check_bounds(
 
 def _check_loops(
     phase: Phase, ctx: Context, diags: List[Diagnostic]
-) -> None:
+) -> Set[int]:
+    """Flag loops that may not run; return ``id``s of the provably empty."""
     phase_ctx = phase.loop_context(ctx)
+    empty: Set[int] = set()
     for loop in phase.all_loops():
         slack = loop.upper - loop.lower
         if phase_ctx.is_nonneg(slack):
             continue
         if phase_ctx.is_positive(-slack):
+            empty.add(id(loop))
             diags.append(
                 Diagnostic(
                     "warning", phase.name, f"loop {loop.index}",
@@ -115,6 +121,7 @@ def _check_loops(
                     "cannot prove the loop executes at least once",
                 )
             )
+    return empty
 
 
 def _check_symbols(
@@ -153,8 +160,8 @@ def validate_phase(phase: Phase, program: Program) -> List[Diagnostic]:
                        "phase has no parallel loop (sequential phase)")
         )
     _check_symbols(phase, program, diags)
-    _check_loops(phase, program.context, diags)
-    _check_bounds(phase, program.context, diags)
+    empty = _check_loops(phase, program.context, diags)
+    _check_bounds(phase, program.context, diags, empty)
     return diags
 
 

@@ -12,7 +12,7 @@ coalescing, a shared warm analysis cache and explicit backpressure:
 * :mod:`.server` — ``python -m repro serve``: bounded admission, a
   thread worker pool, per-request timeouts, 429 on overload, graceful
   SIGTERM drain,
-* :mod:`.coalesce` — single-flight dedup + a result LRU,
+* :mod:`.coalesce` — single-flight dedup + a byte-keyed response cache,
 * :mod:`.state` — the shared warm :class:`AnalysisCache` and its
   periodic disk snapshots, plus server-wide metrics,
 * :mod:`.client` — ``python -m repro query``: a blocking client with
@@ -23,7 +23,7 @@ The multi-process scale-out tier (``serve --workers N``) lives in
 """
 
 from .client import ServiceClient, ServiceError, ServiceUnavailable
-from .coalesce import ResultLRU, SingleFlight
+from .coalesce import ResponseCache, SingleFlight
 from .config import ServiceConfig
 from .protocol import (
     PROTOCOL_VERSION,
@@ -40,7 +40,7 @@ __all__ = [
     "AnalysisServer",
     "AnalyzeRequest",
     "ProtocolError",
-    "ResultLRU",
+    "ResponseCache",
     "ServerMetrics",
     "ServiceClient",
     "ServiceConfig",

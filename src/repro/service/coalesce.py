@@ -1,31 +1,41 @@
-"""Request coalescing: single-flight dedup + an LRU of recent results.
+"""Request coalescing: single-flight dedup + a cache of recent responses.
 
-Locality analysis is expensive and highly reusable — the same bundled
-codes (and the same kernel families) are analysed over and over — so
-the server never runs two identical analyses at once and never re-runs
-one it just finished:
+Locality analysis is a deterministic function of the program, the
+binding and H, and highly reusable — the same bundled codes (and the
+same kernel families) are analysed over and over — so the server never
+runs two identical analyses at once and never re-runs one it just
+finished:
 
 * :class:`SingleFlight` — the first request for a key becomes the
   *leader* and computes; concurrent requests for the same key become
   *followers* and block until the leader publishes, then share the very
   same result object (or re-raise the leader's exception).  This is the
   classic single-flight shape (Go's ``singleflight``, groupcache).
-* :class:`ResultLRU` — a bounded, thread-safe map of recently finished
-  response documents, consulted before single-flight, so duplicate
-  requests that *don't* overlap in time are also answered without
-  re-analysis.
+* :class:`ResponseCache` — a bounded, thread-safe map of recently
+  finished response *bytes*, consulted first by the raw request body's
+  digest (before the request is parsed) and then by the structural
+  :func:`~repro.service.protocol.request_key` (before single-flight),
+  so duplicate requests that *don't* overlap in time are answered
+  without re-analysis or re-serialization.  The server and the cluster
+  router each keep one.
 
-Both are generic over hashable keys; the server keys them on the
-structural :func:`~repro.service.protocol.request_key`.
+Every ``/analyze`` 200 names the layer that answered it in the
+:data:`SOURCE_HEADER` response header — ``router-bytes``,
+``router-key``, ``shard-bytes``, ``shard-key``, ``coalesced`` or
+``computed`` — beside the canonical body, never inside it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from typing import Callable, Optional
 
-__all__ = ["SingleFlight", "ResultLRU"]
+__all__ = ["SOURCE_HEADER", "SingleFlight", "ResponseCache"]
+
+#: Response header naming the layer that answered an ``/analyze`` 200.
+SOURCE_HEADER = "X-Repro-Source"
 
 
 class _Flight:
@@ -60,7 +70,7 @@ class SingleFlight:
         leader's exception propagates to every caller of the flight.
         The flight is removed before the leader publishes, so a *later*
         identical request starts a fresh computation rather than reading
-        a completed flight (the result LRU is the layer that serves
+        a completed flight (the response cache is the layer that serves
         those).
         """
         leader = False
@@ -91,50 +101,96 @@ class SingleFlight:
         return flight.value, True
 
 
-class ResultLRU:
-    """Thread-safe bounded LRU of finished response documents."""
+class ResponseCache:
+    """Thread-safe bounded LRU of finished 200 response bytes, two keys.
+
+    * the **body digest** — SHA-256 of the raw request body, so an exact
+      repeat is answered with one hash and one lookup, before the
+      request is even parsed;
+    * the **structural key** — :func:`~repro.service.protocol.request_key`,
+      so first-seen text that lowers to a cached request (other
+      whitespace, key order, a source spelling of a bundled code) still
+      dedups.  A hit here records the body's digest, so that spelling's
+      next repeat is a byte hit.
+
+    Each map holds at most ``capacity`` entries, keyed by a 32-byte
+    digest or a structural tuple, never by the body itself; the values
+    are shared ``bytes``.  ``capacity=0`` stores nothing under either
+    key.  ``hits`` counts hits on both keys, ``bytes_hits`` the share
+    answered by digest; ``misses`` counts structural misses.
+    """
 
     def __init__(self, capacity: int = 128):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._items: OrderedDict = OrderedDict()
+        self._bodies: OrderedDict = OrderedDict()  # digest -> bytes
+        self._keys: OrderedDict = OrderedDict()  # request key -> bytes
         self.hits = 0
+        self.bytes_hits = 0
         self.misses = 0
         self.evictions = 0
 
+    @staticmethod
+    def digest(body: bytes) -> bytes:
+        return hashlib.sha256(body).digest()
+
     def __len__(self) -> int:
         with self._lock:
-            return len(self._items)
+            return len(self._keys)
 
-    def get(self, key):
+    def _store(self, table: OrderedDict, key, value: bytes) -> None:
+        table[key] = value
+        table.move_to_end(key)
+        while len(table) > self.capacity:
+            table.popitem(last=False)
+            self.evictions += 1
+
+    def get_body(self, digest: bytes) -> Optional[bytes]:
+        """The response cached for this body digest, or ``None``."""
         with self._lock:
-            if key in self._items:
-                self._items.move_to_end(key)
+            value = self._bodies.get(digest)
+            if value is not None:
+                self._bodies.move_to_end(digest)
                 self.hits += 1
-                return self._items[key]
-            self.misses += 1
-            return None
+                self.bytes_hits += 1
+            return value
 
-    def put(self, key, value) -> None:
+    def get(self, key, digest: Optional[bytes] = None) -> Optional[bytes]:
+        """The response cached for this structural key, or ``None``.
+
+        A hit also files the response under ``digest``.
+        """
+        with self._lock:
+            value = self._keys.get(key)
+            if value is None:
+                self.misses += 1
+                return None
+            self._keys.move_to_end(key)
+            self.hits += 1
+            if digest is not None:
+                self._store(self._bodies, digest, value)
+            return value
+
+    def put(self, key, digest: Optional[bytes], value: bytes) -> None:
+        """File a 200 response under its key and (if given) its digest."""
         if self.capacity == 0:
             return
         with self._lock:
-            if key in self._items:
-                self._items.move_to_end(key)
-            self._items[key] = value
-            while len(self._items) > self.capacity:
-                self._items.popitem(last=False)
-                self.evictions += 1
+            self._store(self._keys, key, value)
+            if digest is not None:
+                self._store(self._bodies, digest, value)
 
     def stats(self) -> dict:
         with self._lock:
             lookups = self.hits + self.misses
             return {
-                "size": len(self._items),
+                "size": len(self._keys),
+                "digests": len(self._bodies),
                 "capacity": self.capacity,
                 "hits": self.hits,
+                "bytes_hits": self.bytes_hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "hit_rate": self.hits / lookups if lookups else None,

@@ -33,6 +33,8 @@ __all__ = [
     "ProtocolError",
     "AnalyzeRequest",
     "build_request_program",
+    "materialize_request",
+    "validate_request",
     "request_key",
     "response_document",
     "dumps_canonical",
@@ -182,14 +184,16 @@ class AnalyzeRequest:
         return doc
 
 
-def build_request_program(request: AnalyzeRequest):
-    """Materialize a request: ``(program, env, back_edges)`` or raise.
+def materialize_request(request: AnalyzeRequest):
+    """Parse or build a request's program: ``(program, env, back_edges)``.
 
     Bundled codes contribute their reference binding and default back
     edges; the request's ``env`` overrides per name and an explicit
-    ``back_edges`` replaces the default.  Every failure mode (unknown
-    code, parse error, validation error, empty binding) is a
-    :class:`ProtocolError` so the server can answer 400 rather than 500.
+    ``back_edges`` replaces the default.  An unknown code, a parse error
+    or an empty binding is a :class:`ProtocolError` so the server can
+    answer 400 rather than 500.  The program is *not* validated: that
+    is :func:`validate_request`, which the cluster router leaves to the
+    shard so a first-seen request is validated once, not twice.
     """
     if request.code is not None:
         from ..codes import ALL_CODES
@@ -211,15 +215,6 @@ def build_request_program(request: AnalyzeRequest):
             raise ProtocolError(f"source does not parse: {exc}")
         default_env, default_back = {}, []
 
-    from ..ir import validate_program
-
-    diagnostics = validate_program(program)
-    errors = [d for d in diagnostics if d.severity == "error"]
-    if errors:
-        raise ProtocolError(
-            "program does not validate: " + "; ".join(str(d) for d in errors)
-        )
-
     env = dict(default_env)
     env.update(dict(request.env))
     _require(bool(env), "no parameter binding: pass 'env'")
@@ -229,6 +224,24 @@ def build_request_program(request: AnalyzeRequest):
         if request.back_edges is not None
         else list(default_back)
     )
+    return program, env, back
+
+
+def validate_request(program) -> None:
+    """Raise :class:`ProtocolError` if the program has a validation error."""
+    from ..ir import validate_program
+
+    errors = [d for d in validate_program(program) if d.severity == "error"]
+    if errors:
+        raise ProtocolError(
+            "program does not validate: " + "; ".join(str(d) for d in errors)
+        )
+
+
+def build_request_program(request: AnalyzeRequest):
+    """Materialize and validate a request: ``(program, env, back_edges)``."""
+    program, env, back = materialize_request(request)
+    validate_request(program)
     return program, env, back
 
 

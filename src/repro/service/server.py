@@ -5,21 +5,26 @@ connection) that *admits* work into a bounded queue feeding a fixed
 :class:`~concurrent.futures.ThreadPoolExecutor` worker pool.  The
 pieces, in request order:
 
-1. **Admission** — a counting semaphore sized ``workers + queue_limit``.
+1. **Response cache, by body** — the SHA-256 digest of the raw
+   ``/analyze`` body, looked up in the
+   :class:`~repro.service.coalesce.ResponseCache` before the request is
+   parsed or admitted: an exact repeat costs one hash and one write and
+   needs no pool slot (``X-Repro-Source: shard-bytes``).
+2. **Admission** — a counting semaphore sized ``workers + queue_limit``.
    A full queue answers **429** immediately (with ``Retry-After``), so
    overload degrades to fast, explicit backpressure instead of
    unbounded queueing; the blocking client backs off and retries.
-2. **Result LRU** — recently finished response documents, keyed on the
-   structural :func:`~repro.service.protocol.request_key`; a repeat of
-   a finished request never re-analyses.
-3. **Single-flight** — concurrent identical requests coalesce onto one
+3. **Response cache, by structure** — the same cache keyed on the
+   structural :func:`~repro.service.protocol.request_key`, so a
+   respelled repeat never re-analyses (``shard-key``).
+4. **Single-flight** — concurrent identical requests coalesce onto one
    in-flight analysis (:mod:`repro.service.coalesce`); followers share
-   the leader's document.
-4. **The analysis** — :func:`repro.analyze` against the shared warm
-   :class:`~repro.locality.engine.AnalysisCache` (thread-safe), with a
-   per-request :class:`repro.obs.Collector` whose counters fold into
-   the server-wide ``/metrics`` totals.
-5. **Graceful drain** — SIGTERM/SIGINT stop the accept loop, let every
+   the leader's response bytes (``coalesced``).
+5. **The analysis** (``computed``) — :func:`repro.analyze` against the
+   shared warm :class:`~repro.locality.engine.AnalysisCache`
+   (thread-safe), with a per-request :class:`repro.obs.Collector` whose
+   counters fold into the server-wide ``/metrics`` totals.
+6. **Graceful drain** — SIGTERM/SIGINT stop the accept loop, let every
    queued and in-flight request finish and respond, then write the
    final cache snapshot.  No admitted work is dropped.
 
@@ -64,7 +69,7 @@ from ..session.api import (
     session_route,
 )
 from ..session.state import SessionError
-from .coalesce import ResultLRU, SingleFlight
+from .coalesce import SOURCE_HEADER, ResponseCache, SingleFlight
 from .config import ServiceConfig
 from .protocol import (
     PROTOCOL_VERSION,
@@ -76,7 +81,10 @@ from .protocol import (
 )
 from .state import ServerMetrics, SharedState
 
-__all__ = ["ServiceConfig", "AnalysisServer", "serve_in_thread", "main_serve"]
+__all__ = [
+    "ServiceConfig", "AnalysisServer", "JSONRequestHandler",
+    "serve_in_thread", "main_serve",
+]
 
 #: Upper bound on request bodies (source text is small; anything bigger
 #: is a mistake or abuse).
@@ -94,7 +102,7 @@ class AnalysisServer(ThreadingHTTPServer):
         self.state = SharedState(config)
         self.metrics = ServerMetrics(latency_window=config.latency_window)
         self.flights = SingleFlight()
-        self.results = ResultLRU(config.result_cache)
+        self.results = ResponseCache(config.result_cache)
         self.sessions = SessionTable(
             limit=config.session_limit, ttl=config.session_ttl
         )
@@ -146,19 +154,25 @@ class AnalysisServer(ThreadingHTTPServer):
 
     # -- the job --------------------------------------------------------
 
-    def run_job(self, request: AnalyzeRequest) -> dict:
-        """Materialize, dedup and analyse one admitted request."""
+    def run_job(self, request: AnalyzeRequest,
+                digest: Optional[bytes] = None) -> tuple:
+        """Materialize, dedup and analyse one admitted request.
+
+        Returns ``(body, source)``: the canonical response bytes and the
+        layer that answered.  ``digest`` is the request body's, filed
+        beside the structural key so the next exact repeat is a byte hit.
+        """
         with self._gauge_lock:
             self._in_flight += 1
         try:
             program, env, back = build_request_program(request)
             key = request_key(request, program, env, back)
-            cached = self.results.get(key)
+            cached = self.results.get(key, digest)
             if cached is not None:
                 self.metrics.bump("analyze.result_cache_hits")
-                return cached
+                return cached, "shard-key"
 
-            def compute() -> dict:
+            def compute() -> bytes:
                 if self.job_hook is not None:
                     self.job_hook(request, key)
                 opts = replace(
@@ -191,14 +205,18 @@ class AnalysisServer(ThreadingHTTPServer):
                 self.metrics.merge_counters(collector.counters)
                 self.metrics.bump("analyze.computed")
                 self.state.note_completed()
-                return doc
+                body = dumps_canonical(doc).encode("utf-8")
+                # Filed before the flight closes, so no identical
+                # request can miss both the flight and the cache.
+                self.results.put(key, digest, body)
+                return body
 
-            doc, leader = self.flights.do(key, compute)
+            body, leader = self.flights.do(key, compute)
             if leader:
-                self.results.put(key, doc)
-            else:
-                self.metrics.bump("analyze.coalesced_hits")
-            return doc
+                return body, "computed"
+            self.results.put(key, digest, body)  # file this body's digest
+            self.metrics.bump("analyze.coalesced_hits")
+            return body, "coalesced"
         finally:
             with self._gauge_lock:
                 self._in_flight -= 1
@@ -306,14 +324,16 @@ class AnalysisServer(ThreadingHTTPServer):
         self._drain_done.set()
 
 
-class _Handler(BaseHTTPRequestHandler):
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """JSON plumbing shared by the server's and the router's handlers.
+
+    The owning server provides ``config.verbose`` and ``metrics``.
+    """
+
     protocol_version = "HTTP/1.1"
     #: Idle keep-alive connections time out so a drain is never held
     #: hostage by a client that keeps its socket open.
     timeout = 10
-    server: AnalysisServer  # set by socketserver
-
-    # -- plumbing -------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.config.verbose:
@@ -323,8 +343,8 @@ class _Handler(BaseHTTPRequestHandler):
                    format % args)
             )
 
-    def _respond(self, status: int, doc, headers: Optional[dict] = None):
-        body = dumps_canonical(doc).encode("utf-8")
+    def _send(self, status: int, body: bytes,
+              headers: Optional[dict] = None):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -334,15 +354,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
         self.server.metrics.note_response(status)
 
+    def _respond(self, status: int, doc, headers: Optional[dict] = None):
+        self._send(status, dumps_canonical(doc).encode("utf-8"), headers)
+
     def _error(self, status: int, message: str,
                headers: Optional[dict] = None):
         self._respond(status, {"error": message}, headers)
 
-    # -- routes ---------------------------------------------------------
-
-    _session_route = staticmethod(session_route)
-
-    def _read_json_body(self):
+    def _read_body(self) -> Optional[bytes]:
+        """The raw request body, or ``None`` after answering 400/413."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -354,8 +374,12 @@ class _Handler(BaseHTTPRequestHandler):
         if length > MAX_BODY_BYTES:
             self._error(413, f"request body over {MAX_BODY_BYTES} bytes")
             return None
+        return self.rfile.read(length)
+
+    def _parse_object(self, raw: bytes) -> Optional[dict]:
+        """``raw`` as a JSON object, or ``None`` after answering 400."""
         try:
-            doc = json.loads(self.rfile.read(length))
+            doc = json.loads(raw)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             self._error(400, f"request body is not JSON: {exc}")
             return None
@@ -363,6 +387,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(400, "request body must be a JSON object")
             return None
         return doc
+
+
+class _Handler(JSONRequestHandler):
+    server: AnalysisServer  # set by socketserver
+
+    _session_route = staticmethod(session_route)
 
     def do_GET(self):
         if self.path == "/healthz":
@@ -403,7 +433,20 @@ class _Handler(BaseHTTPRequestHandler):
                 503, "server is draining", headers={"Retry-After": "1"}
             )
             return
-        payload = self._read_json_body()
+        raw = self._read_body()
+        if raw is None:
+            return
+        if session_route is None:
+            t0 = time.perf_counter()
+            digest = ResponseCache.digest(raw)
+            cached = self.server.results.get_body(digest)
+            if cached is not None:
+                # An exact repeat: answered before parsing or admission.
+                self.server.metrics.bump("analyze.result_cache_hits")
+                self._send(200, cached, {SOURCE_HEADER: "shard-bytes"})
+                self.server.metrics.observe_latency(time.perf_counter() - t0)
+                return
+        payload = self._parse_object(raw)
         if payload is None:
             return
         if session_route is None:
@@ -425,7 +468,7 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if session_route is None:
                 future = self.server.pool.submit(
-                    self.server.run_job, request
+                    self.server.run_job, request, digest
                 )
             else:
                 verb, sid = session_route
@@ -457,7 +500,8 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 raise
             if session_route is None:
-                self._respond(200, outcome)
+                body, source = outcome
+                self._send(200, body, {SOURCE_HEADER: source})
             else:
                 status, doc, headers = outcome
                 self._respond(status, doc, headers)
@@ -574,7 +618,8 @@ def main_serve(argv=None) -> int:
         type=int,
         default=128,
         metavar="N",
-        help="LRU capacity for finished response documents",
+        help="LRU capacity for finished /analyze responses (by request "
+        "body digest and by structural key; 0 disables both)",
     )
     parser.add_argument(
         "--session-limit",

@@ -20,7 +20,13 @@ from repro.check import faults
 from repro.cluster import JobQueue, cluster_in_thread
 from repro.codes import ALL_CODES
 from repro.document import dumps_canonical
-from repro.service import ServiceClient, ServiceConfig, ServiceError
+from repro.service import (
+    ServiceClient,
+    ServiceConfig,
+    ServiceError,
+    serve_in_thread,
+)
+from repro.service.coalesce import SOURCE_HEADER
 from repro.service.protocol import (
     AnalyzeRequest,
     build_request_program,
@@ -50,6 +56,27 @@ def cluster(**kwargs):
     finally:
         router.drain()
         thread.join(timeout=60)
+
+
+def post(port: int, body: bytes):
+    """One raw POST /analyze; ``(status, body bytes, source header)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+    try:
+        conn.request(
+            "POST", "/analyze", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        return (
+            response.status, response.read(),
+            response.getheader(SOURCE_HEADER),
+        )
+    finally:
+        conn.close()
+
+
+def request_body(code: str, H: int = 4, **extra) -> bytes:
+    return json.dumps({"version": 1, "code": code, "H": H, **extra}).encode()
 
 
 def owner_shard(router, code: str, H: int = 4):
@@ -85,7 +112,86 @@ class TestProxyPath:
             assert metrics["counters"]["router.routed"] == 2
             assert metrics["counters"]["router.lru_hit"] == 1
             assert metrics["result_cache"]["hits"] == 1
+            assert metrics["result_cache"]["bytes_hits"] == 1
             assert metrics["workers"]["count"] == 2
+
+            # a respelled body is a structural hit, then a byte hit;
+            # neither reaches a shard
+            respelled = b'{"H": 4, "code": "jacobi"}'
+            for source in ("router-key", "router-bytes"):
+                status, body, header = post(port, respelled)
+                assert status == 200 and header == source
+                assert body.decode() == expected_doc("jacobi")
+            metrics = client.metrics()
+            assert metrics["counters"]["router.routed"] == 2
+            assert metrics["counters"]["router.lru_hit"] == 3
+            assert metrics["result_cache"]["bytes_hits"] == 2
+
+    def test_source_header_names_every_layer(self):
+        # capacity 1: each new key evicts the router's only entry, so a
+        # later request can miss the router yet hit its shard's cache
+        with cluster(result_cache=1) as (router, port):
+            a = "jacobi"
+            b = next(
+                code for code in ("adi", "redblack", "mgrid", "swim")
+                if owner_shard(router, code) != owner_shard(router, a)
+            )
+            default_env = ALL_CODES[a][1]
+            steps = [
+                (request_body(a), "computed"),
+                (request_body(b), "computed"),
+                # same structural key, other canonical body at the shard
+                (request_body(a, env=default_env), "shard-key"),
+                # the router holds only a; b's shard still holds b
+                (request_body(b), "shard-bytes"),
+                (request_body(b), "router-bytes"),
+                (b'{"H": 4, "code": "%s"}' % b.encode(), "router-key"),
+            ]
+            for body, source in steps:
+                status, payload, header = post(port, body)
+                assert (status, header) == (200, source), body
+                code = json.loads(body)["code"]
+                assert payload.decode() == expected_doc(code)
+
+    def test_zero_capacity_turns_off_both_keys(self):
+        with cluster(result_cache=0) as (router, port):
+            for _ in range(2):
+                status, payload, header = post(port, request_body("jacobi"))
+                assert (status, header) == (200, "computed")
+                assert payload.decode() == expected_doc("jacobi")
+            stats = router.results.stats()
+            assert stats["hits"] == 0 and stats["digests"] == 0
+            assert router.metrics.snapshot()["counters"]["router.routed"] == 2
+
+    def test_invalid_program_400_matches_single_server(self):
+        # the router does not validate; the shard's 400 is forwarded
+        # unchanged, byte for byte what a single server answers
+        source = """program over
+  param N
+  array A(4)
+  phase F0
+    doall i = 0, N - 1
+      A(i + 10) = 1
+    end doall
+  end phase
+end program
+"""
+        body = json.dumps(
+            {"version": 1, "source": source, "env": {"N": 8}, "H": 2}
+        ).encode()
+        server, thread = serve_in_thread(ServiceConfig(port=0, threads=1))
+        try:
+            expected = post(server.server_address[1], body)
+        finally:
+            server.drain()
+            thread.join(10)
+        assert expected[0] == 400
+        assert b"program does not validate" in expected[1]
+        with cluster() as (router, port):
+            for _ in range(2):  # a 400 is never cached
+                assert post(port, body) == expected
+            assert router.results.stats()["digests"] == 0
+            assert router.metrics.snapshot()["counters"]["router.routed"] == 2
 
     def test_draining_router_rejects_new_work(self):
         with cluster(workers=2) as (router, port):
@@ -151,6 +257,10 @@ class TestDraining503:
                 assert snapshot["counters"]["router.draining_rejects"] >= 1
             finally:
                 handle.draining.clear()
+            # the 503 was not cached: the same body now reaches the shard
+            status, payload, header = post(port, body)
+            assert (status, header) == (200, "computed")
+            assert payload.decode() == expected_doc("jacobi")
 
     def test_client_backoff_rides_out_the_drain(self):
         """The blocking client retries the router's 503 until the

@@ -97,6 +97,34 @@ class TestLoopsAndStructure:
         )
         assert not any(d.severity == "error" for d in diags)
 
+    def test_bounds_skipped_inside_empty_loop(self):
+        bld = ProgramBuilder("emptyb")
+        N = bld.param("N", minimum=4)
+        A = bld.array("A", 4)
+        B = bld.array("B", N)
+        with bld.phase("F") as ph:
+            with ph.doall("i", 0, N - 1) as i:
+                with ph.do("j", 10, 5) as j:  # never runs
+                    ph.write(A, j)  # would reach 10, past A(4)
+                    ph.read(B, i)
+        diags = diags_of(bld.build())
+        assert not any(d.severity == "error" for d in diags), diags
+        assert any("empty range" in d.message for d in diags)
+
+    def test_bounds_still_checked_beside_empty_loop(self):
+        bld = ProgramBuilder("beside")
+        N = bld.param("N", minimum=4)
+        A = bld.array("A", 4)
+        with bld.phase("F") as ph:
+            with ph.doall("i", 0, N - 1) as i:
+                with ph.do("j", 10, 5) as j:
+                    ph.read(A, j)
+                ph.write(A, i + 10)  # outside the empty loop: runs
+        diags = diags_of(bld.build())
+        errors = [d for d in diags if d.severity == "error"]
+        assert len(errors) == 1
+        assert "past the last element" in errors[0].message
+
     def test_unprovable_trip_warns(self):
         bld = ProgramBuilder("maybe")
         N = bld.param("N")  # only N >= 1 known

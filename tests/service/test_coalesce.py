@@ -1,11 +1,11 @@
-"""Single-flight dedup and the result LRU, in isolation."""
+"""Single-flight dedup and the response cache, in isolation."""
 
 import threading
 import time
 
 import pytest
 
-from repro.service.coalesce import ResultLRU, SingleFlight
+from repro.service.coalesce import ResponseCache, SingleFlight
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -112,44 +112,53 @@ class TestSingleFlight:
 
 
 class TestResultLRU:
+    """The response cache's structural-key LRU behaviour."""
+
     def test_get_put_and_stats(self):
-        lru = ResultLRU(capacity=2)
+        lru = ResponseCache(capacity=2)
         assert lru.get("a") is None
-        lru.put("a", 1)
-        assert lru.get("a") == 1
+        lru.put("a", None, b"1")
+        assert lru.get("a") == b"1"
         stats = lru.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
+        assert stats["bytes_hits"] == 0
         assert stats["hit_rate"] == 0.5
 
     def test_eviction_is_lru_order(self):
-        lru = ResultLRU(capacity=2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        assert lru.get("a") == 1  # refresh a; b is now least recent
-        lru.put("c", 3)
+        lru = ResponseCache(capacity=2)
+        lru.put("a", None, b"1")
+        lru.put("b", None, b"2")
+        assert lru.get("a") == b"1"  # refresh a; b is now least recent
+        lru.put("c", None, b"3")
         assert lru.get("b") is None
-        assert lru.get("a") == 1 and lru.get("c") == 3
+        assert lru.get("a") == b"1" and lru.get("c") == b"3"
         assert lru.stats()["evictions"] == 1
 
     def test_zero_capacity_never_stores(self):
-        lru = ResultLRU(capacity=0)
-        lru.put("a", 1)
+        lru = ResponseCache(capacity=0)
+        digest = ResponseCache.digest(b"{}")
+        lru.put("a", digest, b"1")
         assert lru.get("a") is None
+        assert lru.get_body(digest) is None
         assert len(lru) == 0
+        assert lru.stats()["digests"] == 0
 
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
-            ResultLRU(capacity=-1)
+            ResponseCache(capacity=-1)
 
     def test_thread_hammering_keeps_invariants(self):
-        lru = ResultLRU(capacity=8)
+        lru = ResponseCache(capacity=8)
         keys = [f"k{i}" for i in range(16)]
 
         def worker(seed):
             for i in range(500):
                 key = keys[(seed * 7 + i) % len(keys)]
-                if lru.get(key) is None:
-                    lru.put(key, key)
+                digest = ResponseCache.digest(key.encode())
+                if lru.get_body(digest) is not None:
+                    continue
+                if lru.get(key, digest) is None:
+                    lru.put(key, digest, key.encode())
 
         threads = [
             threading.Thread(target=worker, args=(s,)) for s in range(8)
@@ -160,4 +169,40 @@ class TestResultLRU:
             t.join(10)
         stats = lru.stats()
         assert stats["hits"] + stats["misses"] == 8 * 500
-        assert len(lru) <= 8
+        assert len(lru) <= 8 and stats["digests"] <= 8
+
+
+class TestResponseCacheBodies:
+    """The byte layer: body digests in front of the structural key."""
+
+    def test_repeat_body_is_a_bytes_hit(self):
+        cache = ResponseCache(capacity=4)
+        body = b'{"code": "jacobi", "H": 4}'
+        digest = ResponseCache.digest(body)
+        assert cache.get_body(digest) is None
+        assert cache.get("key", digest) is None
+        cache.put("key", digest, b"answer")
+        assert cache.get_body(ResponseCache.digest(body)) == b"answer"
+        stats = cache.stats()
+        assert stats["bytes_hits"] == 1 and stats["hits"] == 1
+        assert stats["misses"] == 1
+
+    def test_structural_hit_files_the_new_spelling(self):
+        cache = ResponseCache(capacity=4)
+        first = ResponseCache.digest(b'{"code": "jacobi", "H": 4}')
+        respelled = ResponseCache.digest(b'{"H":4,"code":"jacobi"}')
+        cache.put("key", first, b"answer")
+        assert cache.get_body(respelled) is None
+        assert cache.get("key", respelled) == b"answer"  # structural hit
+        assert cache.get_body(respelled) == b"answer"  # now a byte hit
+        stats = cache.stats()
+        assert stats["hits"] == 2 and stats["bytes_hits"] == 1
+
+    def test_entries_are_keyed_by_digest_not_body(self):
+        cache = ResponseCache(capacity=3)
+        for i in range(10):
+            body = b"x" * 100_000 + str(i).encode()
+            cache.put(("key", i), ResponseCache.digest(body), b"answer")
+        assert len(cache) == 3 and cache.stats()["digests"] == 3
+        assert all(len(d) == 32 for d in cache._bodies)
+        assert cache.stats()["evictions"] == 14

@@ -10,7 +10,10 @@ import pytest
 from repro import analyze
 from repro.codes import ALL_CODES
 from repro.service import ServiceClient, ServiceConfig, serve_in_thread
+from repro.service.coalesce import SOURCE_HEADER
 from repro.service.protocol import dumps_canonical, response_document
+
+JACOBI = {"version": 1, "code": "jacobi", "H": 4}
 
 
 def _wait_until(predicate, timeout=10.0):
@@ -24,12 +27,16 @@ def _wait_until(predicate, timeout=10.0):
 
 def _post_raw(port, doc, timeout=120.0):
     """One raw POST /analyze; returns (status, body bytes, headers)."""
+    return _post_bytes(port, json.dumps(doc).encode(), timeout)
+
+
+def _post_bytes(port, body, timeout=120.0):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
         conn.request(
             "POST",
             "/analyze",
-            body=json.dumps(doc).encode(),
+            body=body,
             headers={"Content-Type": "application/json"},
         )
         response = conn.getresponse()
@@ -158,6 +165,33 @@ end program
         assert status == 200, served
         assert served == expected
 
+    def test_bounds_inside_empty_loop_served_like_analyze(self, server):
+        # A(j) with j in 10..5 would overflow A(4), but the loop never
+        # runs: analyze() accepts it, so the server must too.
+        source = """program emptyb
+  param N
+  array A(4)
+  array B(N)
+  phase F0
+    doall i = 0, N - 1
+      do j = 10, 5
+        A(j) = f(B(i))
+      end do
+    end doall
+  end phase
+end program
+"""
+        from repro.ir.parser import parse_and_lower
+
+        env = {"N": 16}
+        result = analyze(parse_and_lower(source), env=env, H=4)
+        expected = dumps_canonical(response_document(result, env, 4)).encode()
+        status, served, _ = _post_raw(
+            _port(server), {"version": 1, "source": source, "env": env, "H": 4}
+        )
+        assert status == 200, served
+        assert served == expected
+
     def test_source_text_matches_bundled_code(self, server):
         # a source request lowering to the same structure coalesces on
         # the structural key only if the *names* match too; here we just
@@ -230,6 +264,126 @@ class TestCoalescing:
         assert (
             metrics["counters"].get("analyze.result_cache_hits", 0) >= 1
         )
+
+
+class TestResponseCache:
+    """The byte-keyed layer in front of the structural key."""
+
+    def test_repeat_body_is_a_byte_hit(self, server):
+        port = _port(server)
+        status1, body1, headers1 = _post_raw(port, JACOBI)
+        status2, body2, headers2 = _post_raw(port, JACOBI)
+        assert status1 == status2 == 200
+        assert body2 == body1
+        assert headers1[SOURCE_HEADER] == "computed"
+        assert headers2[SOURCE_HEADER] == "shard-bytes"
+        stats = server.results.stats()
+        assert stats["hits"] == stats["bytes_hits"] == 1
+        assert server.metrics.counters["analyze.result_cache_hits"] == 1
+
+    def test_respelled_body_is_a_key_hit_then_a_byte_hit(self, server):
+        port = _port(server)
+        _, first, _ = _post_raw(port, JACOBI)
+        respelled = b'{ "H": 4,\n  "code": "jacobi", "version": 1 }'
+        status, body, headers = _post_bytes(port, respelled)
+        assert status == 200 and body == first
+        assert headers[SOURCE_HEADER] == "shard-key"
+        status, body, headers = _post_bytes(port, respelled)
+        assert status == 200 and body == first
+        assert headers[SOURCE_HEADER] == "shard-bytes"
+        stats = server.results.stats()
+        assert (stats["hits"], stats["bytes_hits"]) == (2, 1)
+        assert stats["size"] == 1 and stats["digests"] == 2
+        assert server.metrics.counters["analyze.computed"] == 1
+
+    def test_coalesced_follower_is_labelled(self, server):
+        entered = threading.Event()
+        release = threading.Event()
+
+        def hook(request, key):
+            entered.set()
+            release.wait(20)
+
+        server.job_hook = hook
+        port = _port(server)
+        answers = []
+
+        def run():
+            answers.append(_post_raw(port, JACOBI))
+
+        leader = threading.Thread(target=run)
+        leader.start()
+        assert entered.wait(10)
+        follower = threading.Thread(target=run)
+        follower.start()
+        assert _wait_until(lambda: server.flights.coalesced == 1)
+        release.set()
+        leader.join(30)
+        follower.join(30)
+        assert sorted(a[2][SOURCE_HEADER] for a in answers) == [
+            "coalesced", "computed",
+        ]
+        assert answers[0][1] == answers[1][1]
+
+    def test_400_and_503_are_never_cached(self, server):
+        port = _port(server)
+        for _ in range(2):
+            status, _, headers = _post_raw(port, {"version": 1, "code": "x"})
+            assert status == 400 and SOURCE_HEADER not in headers
+        server._draining.set()
+        try:
+            status, _, _ = _post_raw(port, JACOBI)
+            assert status == 503
+        finally:
+            server._draining.clear()
+        status, _, headers = _post_raw(port, JACOBI)
+        assert status == 200 and headers[SOURCE_HEADER] == "computed"
+        stats = server.results.stats()
+        assert stats["hits"] == 0 and stats["digests"] == 1
+
+    def test_429_and_504_are_never_cached(self):
+        config = ServiceConfig(
+            port=0, threads=1, queue_limit=0, request_timeout=2.0
+        )
+        server, thread = serve_in_thread(config)
+        release = threading.Event()
+        try:
+            entered = threading.Event()
+
+            def hook(request, key):
+                entered.set()
+                release.wait(20)
+
+            server.job_hook = hook
+            port = _port(server)
+            first = {}
+            blocker = threading.Thread(
+                target=lambda: first.update(r=_post_raw(port, JACOBI))
+            )
+            blocker.start()
+            assert entered.wait(10)
+            adi = {"version": 1, "code": "adi", "H": 4}
+            status, _, _ = _post_raw(port, adi, timeout=10)
+            assert status == 429
+            blocker.join(30)
+            assert first["r"][0] == 504
+            server.job_hook = None
+            release.set()
+            # the timed-out job still finishes and files its 200
+            assert _wait_until(lambda: len(server.results) == 1)
+            assert server.results.stats()["digests"] == 1
+
+            builder, env, back = ALL_CODES["jacobi"]
+            result = analyze(builder(), env=env, H=4, back_edges=back)
+            status, body, _ = _post_raw(port, JACOBI)
+            assert status == 200
+            assert body == dumps_canonical(result.to_document()).encode()
+            status, _, headers = _post_raw(port, adi)
+            assert status == 200 and headers[SOURCE_HEADER] == "computed"
+        finally:
+            release.set()
+            server.drain()
+            thread.join(10)
 
 
 class TestBackpressure:
@@ -382,7 +536,7 @@ class TestDrain:
 
 class TestWarmCacheSharing:
     def test_repeat_analyses_hit_the_warm_cache(self, tmp_path):
-        # result_cache=0 disables the document LRU, so the repeat runs
+        # result_cache=0 disables the response cache, so the repeat runs
         # the full pipeline again — against the shared warm
         # AnalysisCache, which must answer the edge work *and* still
         # produce byte-identical output (relabelling is exact).
@@ -390,16 +544,21 @@ class TestWarmCacheSharing:
         server, thread = serve_in_thread(config)
         try:
             port = _port(server)
-            status1, body1, _ = _post_raw(
+            status1, body1, headers1 = _post_raw(
                 port, {"version": 1, "code": "jacobi", "H": 4}
             )
             stats_cold = server.state.cache.snapshot_stats()["stats"]
-            status2, body2, _ = _post_raw(
+            status2, body2, headers2 = _post_raw(
                 port, {"version": 1, "code": "jacobi", "H": 4}
             )
             stats_warm = server.state.cache.snapshot_stats()["stats"]
             assert status1 == status2 == 200
             assert body1 == body2  # warm-cache run is byte-identical
+            # result_cache=0 turns off both the body and the key layer
+            assert headers1[SOURCE_HEADER] == "computed"
+            assert headers2[SOURCE_HEADER] == "computed"
+            assert server.results.stats()["hits"] == 0
+            assert server.results.stats()["digests"] == 0
             assert stats_warm["edge_hits"] > stats_cold["edge_hits"]
             assert (
                 stats_warm["edge_hits"] + stats_warm["edge_misses"]

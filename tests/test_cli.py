@@ -50,6 +50,31 @@ end program
     assert "demo" in out
 
 
+def test_bounds_inside_empty_loop_accepted(tmp_path, capsys):
+    # A(j) would overflow A(4) for j in 10..5, but that loop never runs;
+    # analyze() accepts the program, so the CLI must not exit 1.
+    src = tmp_path / "emptyb.dsl"
+    src.write_text(
+        """
+program emptyb
+  param N
+  array A(4)
+  array B(N)
+  phase F0
+    doall i = 0, N - 1
+      do j = 10, 5
+        A(j) = f(B(i))
+      end do
+    end doall
+  end phase
+end program
+"""
+    )
+    rc = main([str(src), "--env", "N=16", "--H", "4", "--no-execute"])
+    assert rc == 0
+    assert "Locality-Communication Graph" in capsys.readouterr().out
+
+
 def test_unknown_code():
     with pytest.raises(SystemExit):
         main(["--code", "nope", "--env", "N=4"])
