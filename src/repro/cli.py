@@ -145,8 +145,8 @@ def main(argv=None) -> int:
         metavar="KEY=VALUE,...",
         help="engine options (repeatable), e.g. "
         "cache=lcg.pkl,refutation=off,plan_cache=plans.pkl,"
-        "fast_path=symbolic — executor tiers off|legacy|wide|symbolic "
-        "(symbolic: closed-form counts, no enumeration) — the grammar "
+        "fast_path=symbolic — executor tiers off|wide|symbolic, default "
+        "wide (symbolic: closed-form counts, no enumeration) — the grammar "
         "of AnalysisOptions.from_spec",
     )
     parser.add_argument(

@@ -53,7 +53,6 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from .. import __version__
@@ -69,7 +68,7 @@ from ..service.protocol import (
     materialize_request,
     request_key,
 )
-from ..service.server import JSONRequestHandler
+from ..service.server import JSONHTTPServer, JSONRequestHandler
 from ..service.state import ServerMetrics
 from ..session.api import mint_session_id, session_route
 from .jobs import DONE, JobQueue
@@ -97,7 +96,7 @@ def _decode(payload: bytes) -> dict:
         return {"error": payload.decode("utf-8", "replace")}
 
 
-class ClusterRouter(ThreadingHTTPServer):
+class ClusterRouter(JSONHTTPServer):
     """Consistent-hash router over the supervised worker fleet."""
 
     daemon_threads = False

@@ -778,7 +778,7 @@ def _enumerate_ref(chain, ref, layout, env, lo: int, hi: int, p: int,
 
     Raises ``NestEnumMiss`` when even enumeration cannot handle the
     nest, which aborts the whole symbolic phase (the caller then falls
-    through to the wide/legacy/interp tiers, exactly as wide would)."""
+    through to the wide/interp tiers, exactly as wide would)."""
     from ..ir.interp import NestEnumMiss, NestTooBig, ragged_nest_addresses
 
     counting_only = layout is None or isinstance(layout, ReplicatedLayout)

@@ -149,22 +149,21 @@ class ExecutionReport:
         )
 
 
-#: Fast-path selector: "symbolic" (closed-form descriptor accounting,
-#: falling back to "wide"), "wide" (descriptor-first ragged
-#: enumeration, falling back to "legacy"), "legacy"
-#: (affine-rectangular only), or "off" (always interpret).  The perf
-#: harness switches this to time the pre-optimization baseline.
-_FAST_MODE = "wide"
+#: The accounting tiers, fastest first: "symbolic" (closed-form
+#: descriptor accounting, falling back to "wide"), "wide"
+#: (descriptor-first ragged enumeration, the default), and "off"
+#: (always interpret).  Every tier falls back to interpretation, so the
+#: counts are identical whichever one answers.
+_TIERS = ("symbolic", "wide", "off")
 
 
-def _set_fast_path_default(mode: str) -> str:
-    """Move the default executor tier; returns the old one (no warning)."""
-    global _FAST_MODE
-    if mode not in ("symbolic", "wide", "legacy", "off"):
-        raise ValueError(f"unknown fast-path mode {mode!r}")
-    old = _FAST_MODE
-    _FAST_MODE = mode
-    return old
+def _resolve_tier(fast_path: Optional[str]) -> str:
+    """``fast_path`` validated; ``None`` means the default ``"wide"``."""
+    if fast_path is None:
+        return "wide"
+    if fast_path not in _TIERS:
+        raise ValueError(f"unknown fast-path mode {fast_path!r}")
+    return fast_path
 
 
 def _try_fast_stats(
@@ -173,20 +172,16 @@ def _try_fast_stats(
     H: int,
     schedule: CyclicSchedule,
     layouts: Mapping[str, object],
-    mode: Optional[str] = None,
+    mode: str = "wide",
     obs=None,
 ):
     """Vectorised phase accounting, or None to fall back to interpretation.
 
-    Dispatches on the configured tier (``mode`` overriding the process
-    default): the wide path enumerates the whole nest descriptor-first
-    (handles non-rectangular bounds and ``Pow2`` subscripts); the legacy
-    path covers only rectangular affine nests and is kept as the
-    measured pre-optimization baseline.
+    Dispatches on the tier ``mode``: the symbolic path counts in closed
+    form and falls back to the wide path, which enumerates the whole
+    nest descriptor-first (handles non-rectangular bounds and ``Pow2``
+    subscripts).
     """
-    mode = mode or _FAST_MODE
-    if mode == "off":
-        return None
     if mode == "symbolic":
         stats = _symbolic_fast_stats(phase, env, H, schedule, layouts,
                                      obs=obs)
@@ -194,15 +189,11 @@ def _try_fast_stats(
             if obs is not None:
                 obs.count("dsm.fast_path.symbolic")
             return stats
-    if mode in ("wide", "symbolic"):
-        stats = _wide_fast_stats(phase, env, H, schedule, layouts)
-        if stats is not None:
-            if obs is not None:
-                obs.count("dsm.fast_path.wide")
-            return stats
-    stats = _legacy_fast_stats(phase, env, H, schedule, layouts)
+    if mode == "off":
+        return None
+    stats = _wide_fast_stats(phase, env, H, schedule, layouts)
     if stats is not None and obs is not None:
-        obs.count("dsm.fast_path.legacy")
+        obs.count("dsm.fast_path.wide")
     return stats
 
 
@@ -326,144 +317,13 @@ def _wide_fast_stats(
     )
 
 
-def _legacy_fast_stats(
-    phase: Phase,
-    env: Mapping[str, int],
-    H: int,
-    schedule: CyclicSchedule,
-    layouts: Mapping[str, object],
-):
-    """Vectorised accounting for fully-affine rectangular phases.
-
-    Applicable when the phase is a single parallel-rooted nest whose
-    loop bounds are parameter-only (rectangular) and whose subscripts
-    have constant strides in every index.  The whole address matrix
-    (iterations x inner points) is then materialised per reference with
-    NumPy broadcasting — orders of magnitude faster than per-iteration
-    interpretation.  Returns None when any feature falls outside the
-    fast fragment (the caller falls back to the exact interpreter).
-    """
-    from fractions import Fraction
-
-    from ..ir.core import LoopNode, RefNode
-
-    if len(phase.roots) != 1:
-        return None
-    par = phase.roots[0]
-    if not par.parallel:
-        return None
-    fenv = {k: Fraction(v) for k, v in env.items()}
-
-    def const_int(expr):
-        try:
-            value = expr.evalf(fenv)
-        except (KeyError, ValueError, ZeroDivisionError):
-            return None
-        return int(value) if value.denominator == 1 else None
-
-    par_lo = const_int(par.lower)
-    par_hi = const_int(par.upper)
-    if par_lo is None or par_hi is None or par_hi < par_lo:
-        return None
-    trip = par_hi - par_lo + 1
-
-    local = np.zeros(H, dtype=np.int64)
-    remote = np.zeros(H, dtype=np.int64)
-    pe_of_iter = np.asarray(
-        schedule.owner(np.arange(par_lo, par_hi + 1)), dtype=np.int64
-    )
-    iterations = np.bincount(pe_of_iter, minlength=H).astype(np.int64)
-
-    MAX_CELLS = 1 << 25
-
-    def walk(node, chain):
-        """Yield (ref, loop chain incl. the parallel loop) or raise."""
-        for child in node.children:
-            if isinstance(child, RefNode):
-                yield child.ref, chain
-            elif isinstance(child, LoopNode):
-                yield from walk(child, chain + (child,))
-            else:  # pragma: no cover - defensive
-                raise _FastPathMiss()
-
-    class _FastPathMiss(Exception):
-        pass
-
-    try:
-        for ref, chain in walk(par, (par,)):
-            layout = layouts.get(ref.array.name)
-            # dimensions: parallel first, then the sequential chain
-            offsets = np.zeros(1, dtype=np.int64)
-            base_expr = ref.subscript
-            indices = [loop.index for loop in chain]
-            for loop in chain[1:]:
-                lo = const_int(loop.lower)
-                hi = const_int(loop.upper)
-                if lo is None or hi is None:
-                    raise _FastPathMiss()
-                if hi < lo:
-                    offsets = None
-                    break
-                diff = ref.subscript.subs({loop.index: loop.index + 1}) - \
-                    ref.subscript
-                if any(s in diff.free_symbols() for s in indices):
-                    raise _FastPathMiss()
-                stride = const_int(diff)
-                if stride is None:
-                    raise _FastPathMiss()
-                steps = np.arange(hi - lo + 1, dtype=np.int64) * stride
-                offsets = (offsets[:, None] + steps[None, :]).ravel()
-                base_expr = base_expr.subs({loop.index: loop.lower})
-            if offsets is None:
-                continue  # zero-trip inner loop: no accesses
-            dpar_expr = ref.subscript.subs({par.index: par.index + 1}) - \
-                ref.subscript
-            if any(s in dpar_expr.free_symbols() for s in indices):
-                raise _FastPathMiss()
-            dpar = const_int(dpar_expr)
-            if dpar is None:
-                raise _FastPathMiss()
-            base0 = const_int(base_expr.subs({par.index: par.lower}))
-            if base0 is None:
-                raise _FastPathMiss()
-            if trip * offsets.size > MAX_CELLS:
-                raise _FastPathMiss()
-            if layout is None or isinstance(layout, ReplicatedLayout):
-                counts = np.full(trip, offsets.size, dtype=np.int64)
-                local_add = np.bincount(
-                    pe_of_iter, weights=counts, minlength=H
-                )
-                local += local_add.astype(np.int64)
-                continue
-            addresses = (
-                base0
-                + np.arange(trip, dtype=np.int64)[:, None] * dpar
-                + offsets[None, :]
-            )
-            owners = np.asarray(layout.owner(addresses))
-            hits = (owners == pe_of_iter[:, None]).sum(axis=1)
-            local += np.bincount(
-                pe_of_iter, weights=hits, minlength=H
-            ).astype(np.int64)
-            remote += np.bincount(
-                pe_of_iter,
-                weights=offsets.size - hits,
-                minlength=H,
-            ).astype(np.int64)
-    except _FastPathMiss:
-        return None
-    return PhaseStats(
-        phase=phase.name, local=local, remote=remote, iterations=iterations
-    )
-
-
 def _phase_stats(
     phase: Phase,
     env: Mapping[str, int],
     H: int,
     schedule: CyclicSchedule,
     layouts: Mapping[str, object],
-    fast_path: Optional[str] = None,
+    fast_path: str = "wide",
     obs=None,
 ) -> PhaseStats:
     fast = _try_fast_stats(
@@ -509,8 +369,10 @@ def execute_static(
 
     Default layouts are BLOCK over each array's full extent — the naive
     baseline a compiler without locality analysis would pick.
-    ``fast_path`` overrides the accounting tier for this run.
+    ``fast_path`` picks the accounting tier: ``"symbolic"``,
+    ``"wide"`` (the default) or ``"off"``.
     """
+    fast_path = _resolve_tier(fast_path)
     if layouts is None:
         layouts = {
             a.name: BlockLayout(size=_ev_int(a.size, env), H=H)
@@ -687,15 +549,16 @@ def execute_with_plan(
 ) -> ExecutionReport:
     """LCG-driven execution: chain layouts + explicit C-edge communication.
 
-    ``fast_path`` overrides the accounting tier for this run.
+    ``fast_path`` picks the accounting tier: ``"symbolic"``,
+    ``"wide"`` (the default) or ``"off"``.
     """
     from ..ir.interp import phase_access_set
 
+    fast_path = _resolve_tier(fast_path)
     obs = getattr(program.context, "obs", None)
     layouts = chain_layouts(lcg, plan, env, H)
     fold_edges = layouts.pop("__fold_edges__", [])
     report = ExecutionReport(program=program.name, H=H, machine=machine)
-    resolved_mode = fast_path or _FAST_MODE
 
     # Drain regions are needed only on redistribution edges and repeat
     # across edges sharing a drain phase (redblack's frontier-heavy plan
@@ -706,7 +569,7 @@ def execute_with_plan(
         key = (drain.name, array.name)
         if key not in region_cache:
             region = None
-            if resolved_mode == "symbolic":
+            if fast_path == "symbolic":
                 from .closed_form import symbolic_region
 
                 region = symbolic_region(drain, env, array)
@@ -781,7 +644,7 @@ def execute_with_plan(
                             H,
                         )
                     elif (
-                        resolved_mode == "symbolic"
+                        fast_path == "symbolic"
                         and layout_k == layout_g
                     ):
                         # identical layouts move nothing: skip the
@@ -791,7 +654,7 @@ def execute_with_plan(
                         )
                     else:
                         cp = None
-                        if resolved_mode == "symbolic":
+                        if fast_path == "symbolic":
                             from .closed_form import symbolic_redistribution
 
                             cp = symbolic_redistribution(

@@ -50,8 +50,8 @@ __all__ = [
     "set_vectorized",
 ]
 
-#: Gate for the compiled/vectorized paths (the perf harness switches it
-#: off to time the interpreted baseline).
+#: Gate for the compiled/vectorized paths; tests switch it off to reach
+#: the interpreted reference they compare the fast paths against.
 _VECTOR_ENABLED = True
 
 

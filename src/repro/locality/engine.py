@@ -12,8 +12,7 @@ cache pickles to disk for warm CLI starts.  Misses are deduplicated by
 fingerprint and analyzed in work-item order.
 
 The cache is configured per call through :class:`repro.AnalysisOptions`
-(``analysis_cache=``); ``None`` inherits the process default, which
-tests move via the private ``_set_analysis_cache_default`` helper.
+(``analysis_cache=``); ``None`` means the process-global cache.
 """
 
 from __future__ import annotations
@@ -39,18 +38,6 @@ __all__ = [
     "clear_analysis_cache",
     "get_analysis_cache",
 ]
-
-#: Master switch for the process-global analysis cache.
-_CACHE_ENABLED = True
-
-
-def _set_analysis_cache_default(enabled: bool) -> bool:
-    """Move the default cache toggle; returns the old one (no warning)."""
-    global _CACHE_ENABLED
-    old = _CACHE_ENABLED
-    _CACHE_ENABLED = bool(enabled)
-    return old
-
 
 class AnalysisCache:
     """Fingerprint-keyed memo of edge and intra-phase analyses.
@@ -227,14 +214,12 @@ def clear_analysis_cache() -> None:
 def _resolve_cache(cache) -> Optional[AnalysisCache]:
     """Map build_lcg's ``cache`` argument to an AnalysisCache or None.
 
-    ``None`` defers to the module toggle; ``True``/``False`` force the
-    global cache on/off for one call; an instance is used directly.
+    ``None`` and ``True`` mean the global cache, ``False`` no cache for
+    this call; an instance is used directly.
     """
     if isinstance(cache, AnalysisCache):
         return cache
-    if cache is None:
-        return _GLOBAL_CACHE if _CACHE_ENABLED else None
-    return _GLOBAL_CACHE if cache else None
+    return _GLOBAL_CACHE if cache is None or cache else None
 
 
 # ---------------------------------------------------------------------------

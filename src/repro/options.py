@@ -7,8 +7,9 @@ embedding the analysis cannot scope a setting to one call — so the
 knobs now travel explicitly: build a frozen :class:`AnalysisOptions`
 and pass it to :func:`repro.analyze`.  This is the *only* configuration
 surface — the deprecated ``set_*`` shims were removed in PR 8.  An
-option left at ``None`` inherits the process default, which tests and
-the perf harness move via the private ``_set_*_default`` helpers.
+option left at ``None`` means its fixed built-in default (the wide
+executor tier, refutation on, the process-global analysis cache), which
+no code can move.
 
 The CLI accepts the same knobs one-to-one via ``--opt KEY=VALUE,...``
 (:meth:`AnalysisOptions.from_spec` parses the spec, so the CLI grammar
@@ -23,7 +24,7 @@ from typing import Optional, Union
 
 __all__ = ["AnalysisOptions", "format_chunk_bounds", "parse_chunk_bounds"]
 
-_FAST_PATHS = (None, "symbolic", "wide", "legacy", "off")
+_FAST_PATHS = (None, "symbolic", "wide", "off")
 
 _TRUE = ("on", "true", "yes", "1")
 _FALSE = ("off", "false", "no", "0")
@@ -140,27 +141,26 @@ def _parse_bool(key: str, value: str) -> bool:
 class AnalysisOptions:
     """Every accelerator/observability knob of the pipeline, in one place.
 
-    ``None`` means "inherit the process default" (which the deprecated
-    ``set_*`` shims still move); any other value wins over the default
-    for the one ``analyze`` call it is passed to.
+    ``None`` means the field's fixed built-in default; any other value
+    applies to the one ``analyze`` call it is passed to.
 
     Parameters
     ----------
     analysis_cache:
         the fingerprint-keyed memo of edge and Theorem-1 results.
-        ``True``/``False`` force the process-global cache on/off, a path
-        string warm-starts from (and saves back to) a pickled cache
-        file, and an :class:`~repro.locality.engine.AnalysisCache`
+        ``None``/``True`` use the process-global cache, ``False`` none,
+        a path string warm-starts from (and saves back to) a pickled
+        cache file, and an :class:`~repro.locality.engine.AnalysisCache`
         instance is used directly.
     refutation:
-        sampled disproof of ``is_nonneg`` queries (bool).
+        sampled disproof of ``is_nonneg`` queries (bool; ``None`` is on).
     dsm_fast_path:
         executor accounting tier: ``"symbolic"`` (closed-form
         descriptor arithmetic, O(descriptors) instead of O(addresses)),
-        ``"wide"`` (descriptor-first ragged enumeration), ``"legacy"``
-        (affine-rectangular only) or ``"off"`` (always interpret).
-        Each tier falls back to the next on anything outside its
-        fragment, so counts are identical across tiers.
+        ``"wide"`` (descriptor-first ragged enumeration; ``None`` means
+        this tier) or ``"off"`` (always interpret).  Each tier falls
+        back to the next on anything outside its fragment, so counts
+        are identical across tiers.
     machine_alpha / machine_beta:
         Eq. 7 machine-cost overrides: per-message latency and
         per-element bandwidth in units of one local access.  ``None``
@@ -205,7 +205,7 @@ class AnalysisOptions:
         if self.dsm_fast_path not in _FAST_PATHS:
             raise ValueError(
                 f"unknown dsm_fast_path {self.dsm_fast_path!r}: expected "
-                f"'symbolic', 'wide', 'legacy' or 'off'"
+                f"'symbolic', 'wide' or 'off'"
             )
         for name in ("machine_alpha", "machine_beta"):
             value = getattr(self, name)
@@ -246,7 +246,7 @@ class AnalysisOptions:
         """Parse ``"cache=/tmp/lcg.pkl,refutation=off,..."``.
 
         Keys: ``cache`` (on/off or a file path), ``refutation``
-        (on/off), ``fast_path`` (symbolic/wide/legacy/off), ``alpha``
+        (on/off), ``fast_path`` (symbolic/wide/off), ``alpha``
         and ``beta`` (floats), ``chunks`` (chunk bounds), ``plan``
         (on/off), ``plan_cache`` (a file path), ``trace`` (on/off),
         ``metrics`` (on/off).

@@ -1,7 +1,6 @@
 """Performance harness: stage timings and the BENCH_perf.json trajectory."""
 
 from .bench import (
-    FULL_H,
     FULL_SIZES,
     LCG_H_VALUES,
     QUICK_H,
@@ -10,11 +9,9 @@ from .bench import (
     check_regression,
     main,
     run_benchmark,
-    set_optimizations,
 )
 
 __all__ = [
-    "FULL_H",
     "FULL_SIZES",
     "LCG_H_VALUES",
     "QUICK_H",
@@ -23,5 +20,4 @@ __all__ = [
     "check_regression",
     "main",
     "run_benchmark",
-    "set_optimizations",
 ]

@@ -2,60 +2,44 @@
 
 Times every pipeline stage — IR build, ARD construction + coalescing,
 LCG build, ILP solve, and both DSM execution modes — on the six-code
-suite, in two configurations:
+suite, with every performance layer on: interning + memoized algebra,
+compiled vectorized subscript evaluation, sampled refutation of
+``is_nonneg`` proof obligations, the fingerprint analysis cache behind
+the LCG builder, and the wide descriptor-first executor path.
 
-* **baseline** — the interpreted pre-optimization engine: vectorized/
-  compiled enumeration and sampled refutation off, the executor
-  restricted to the legacy affine-rectangular fast path.  This is the
-  code path the repo shipped before the performance layer landed, kept
-  runnable precisely so the speedup is measured, not remembered.  The
-  :mod:`repro.memo` banks stay on (cleared): with every bank off the
-  ``is_nonneg`` recursion and the Eq. 7 enumeration re-derive shared
-  sub-results without bound, and the quick pass no longer finishes.
-* **optimized** — everything on: interning + memoized algebra, compiled
-  vectorized subscript evaluation, sampled refutation of ``is_nonneg``
-  proof obligations, the fingerprint analysis cache behind the LCG
-  builder, and the wide descriptor-first executor path.
+The pre-optimization baseline in ``BENCH_perf.json`` (its ``full``
+section, the ``baseline`` rows of ``quick``, and the ``exec_huge_N``
+section) is a frozen historical record that the harness no longer
+reproduces: write fresh payloads elsewhere, and keep the committed file
+as the reference the ``--check`` gates read.
 
 The ``lcg`` stage is timed twice per code: cold, then ``lcg_warm`` — a
-rebuild of a *fresh* program object, which in optimized mode answers
-from the fingerprint analysis cache (in baseline mode it re-derives
-everything, so the pair also measures the cache's win directly).
+rebuild of a *fresh* program object, which answers from the
+fingerprint analysis cache.
 
-Three sections are recorded into ``BENCH_perf.json``:
+Sections:
 
-* ``full`` — the §4.3 headline scale (H=64, TFFT2 at P=2**7); the
-  committed numbers every future PR has to beat.
 * ``quick`` — H=8 with small sizes, cheap enough for CI: the workflow
-  reruns it and fails when the optimized total regresses by more than
-  the configured factor against the committed file.
-* ``lcg_full`` — optimized-only LCG-stage scaling at the full sizes for
-  H in {16, 64}: cold + warm build times per code.  Cheap enough for CI
-  (no baseline pass), guarded by ``--check-lcg``.
+  reruns it and fails when its total regresses by more than the
+  configured factor against the committed ``quick.optimized.total``.
+* ``lcg_full`` — LCG-stage scaling at the full sizes for H in {16, 64}:
+  cold, warm and plan-driven-cold build times per code.  Guarded by
+  ``--check-lcg``.
 * ``exec`` — the symbolic closed-form tier against wide enumeration at
   enumeration-hostile sizes (H=64): per-code static/plan speedups, a
   count-equality assertion, and the observed fallback counters.
   Guarded by ``--check-exec`` (tfft2 speedup floor + equality).
-* ``exec_large_H`` — symbolic-only runs at H in {1024, 4096}: machine
-  sizes where enumeration multiplies out but closed-form counting does
-  not.  The H=4096 entry is the paper-scale result no enumerating tier
-  ever produced.  Beyond ``LARGE_H_PLAN_MAX`` only ``execute_static``
-  is timed: an all-to-all put *list* is Θ(H²) objects whatever tier
-  counted it.
-* ``exec_huge_N`` — symbolic-only static execution at ~2**20-element
-  problem sizes per code.
+* ``exec_large_H`` — written only by ``--exec-smoke H``: symbolic-only
+  runs at one machine size where enumeration multiplies out but
+  closed-form counting does not.  Beyond ``LARGE_H_PLAN_MAX`` only
+  ``execute_static`` is timed: an all-to-all put *list* is Θ(H²)
+  objects whatever tier counted it.
 * ``sweep`` — the session subsystem's reason to exist, measured: one
   warm :class:`repro.session.Session` sweeping a ≥16-point H × chunk
   grid against the same grid as independent cold ``analyze()`` calls,
   with per-point sha256 byte-identity asserted between the two paths.
   Guarded by ``--check-sweep`` (speedup floor + identity + a ≥2-point
   Pareto front).
-
-Speedups compare wall-clock totals of the two configurations over the
-same stages on the same machine, so the ratio is meaningful even though
-absolute times differ across hosts.  Since schema 4 each section also
-records ``stage_speedups`` — the per-stage baseline/optimized ratio —
-so a future regression localises to a stage straight from CI output.
 """
 
 from __future__ import annotations
@@ -71,11 +55,8 @@ from typing import Mapping, Optional
 __all__ = [
     "EXEC_H",
     "EXEC_SIZES",
-    "FULL_H",
     "FULL_SIZES",
-    "HUGE_N_SIZES",
     "LARGE_H_PLAN_MAX",
-    "LARGE_H_VALUES",
     "LCG_H_VALUES",
     "QUICK_H",
     "QUICK_SIZES",
@@ -87,10 +68,13 @@ __all__ = [
     "check_sweep",
     "main",
     "run_benchmark",
-    "set_optimizations",
 ]
 
-FULL_H = 64
+#: Payload schema: 7 drops the baseline pass (``quick`` keeps only its
+#: ``optimized`` rows) and the ``full``/``exec_huge_N`` sections.
+SCHEMA = 7
+
+#: The problem sizes of the ``lcg_full`` section.
 FULL_SIZES = {
     "tfft2": {"P": 128, "p": 7, "Q": 128, "q": 7},
     "jacobi": {"N": 8192},
@@ -123,7 +107,7 @@ STAGES = (
     "exec_symbolic",
 )
 
-#: Processor counts for the optimized-only ``lcg_full`` scaling section.
+#: Processor counts for the ``lcg_full`` scaling section.
 LCG_H_VALUES = (16, 64)
 
 #: The execution-tier section: enumeration-hostile sizes at H=64, where
@@ -140,29 +124,12 @@ EXEC_SIZES = {
     "redblack": {"N": 1 << 20},
 }
 
-#: Machine sizes for the symbolic-only large-H section.  The paper's
-#: T3D topped out at H=256; enumeration cost scales with H while the
-#: closed-form tier's does not, so these are first-ever results.
-LARGE_H_VALUES = (1024, 4096)
-
 #: Largest H at which the large-H section also times plan execution.
 #: The put *list* of an all-to-all redistribution is Θ(H²) Python
 #: objects whatever tier computed the counts — ~16M puts per edge at
 #: H=4096, tens of GB — so beyond this the section reports the
 #: closed-form locality counts (``execute_static``) only.
 LARGE_H_PLAN_MAX = 1024
-
-#: ~2**20-element (and beyond: tfft2's arrays hold 2*P*Q = 2**23)
-#: problem sizes for the symbolic-only huge-N section.
-HUGE_N_SIZES = {
-    "tfft2": {"P": 2048, "p": 11, "Q": 2048, "q": 11},
-    "jacobi": {"N": 1 << 20},
-    "swim": {"M": 1024, "N": 1024},
-    "adi": {"M": 1024, "N": 1024},
-    "mgrid": {"N": 1 << 20, "n": 20},
-    "tomcatv": {"M": 1024, "N": 1024},
-    "redblack": {"N": 1 << 20},
-}
 
 
 #: The ``sweep`` section's timed workload: tfft2 at the quick size — the
@@ -184,32 +151,12 @@ FRONT_CODE = "jacobi"
 FRONT_GRID = {"chunk:F_sweep": list(range(1, 13))}
 
 
-def set_optimizations(enabled: bool) -> None:
-    """Flip every performance-layer switch at once (and drop caches).
-
-    Uses the internal default setters rather than the deprecated public
-    shims — the harness intentionally moves process-wide state and
-    should not spray DeprecationWarnings while doing so.
-    """
-    from ..dsm.executor import _set_fast_path_default
-    from ..ir.interp import set_vectorized
-    from ..locality.engine import _set_analysis_cache_default
-    from ..symbolic.refute import _set_refutation_default
-
-    set_vectorized(enabled)
-    _set_fast_path_default("wide" if enabled else "legacy")
-    _set_refutation_default(enabled)
-    _set_analysis_cache_default(enabled)
-    clear_caches()
-
-
 def clear_caches() -> None:
     """Reset memoization state so timed runs start cold.
 
     Every memo bank is keyed structurally and shared across
-    freshly-built programs, so without clearing them whichever mode
-    runs second would inherit warm memos and the comparison would be
-    meaningless.
+    freshly-built programs, so without clearing them a section would
+    inherit the memos an earlier one warmed.
     """
     from .. import memo
     from ..locality.engine import clear_analysis_cache
@@ -273,8 +220,6 @@ def _time_code(name: str, env: Mapping[str, int], H: int) -> dict:
     execute_with_plan(prog, lcg, plan, env, H)
     stages["exec_plan"] = time.perf_counter() - t0
 
-    # The closed-form tier, forced explicitly so the stage is measured
-    # in both configurations regardless of the process default.
     t0 = time.perf_counter()
     execute_static(prog, env, H, fast_path="symbolic")
     execute_with_plan(prog, lcg, plan, env, H, fast_path="symbolic")
@@ -284,53 +229,24 @@ def _time_code(name: str, env: Mapping[str, int], H: int) -> dict:
     return stages
 
 
-def _run_mode(sizes: Mapping, H: int, optimized: bool, log) -> dict:
-    set_optimizations(optimized)
-    try:
-        per_code: dict = {}
-        for name in sorted(sizes):
-            per_code[name] = _time_code(name, sizes[name], H)
-            log(
-                f"    {name:<10} {per_code[name]['total']:8.2f}s "
-                f"({'optimized' if optimized else 'baseline'})"
-            )
-        return {
+def _run_quick_section(log) -> dict:
+    """Every stage of every code at the quick sizes, from cold caches.
+
+    The totals sit under ``optimized``, the key the committed baseline
+    file uses, so ``check_regression`` compares like with like.
+    """
+    clear_caches()
+    per_code: dict = {}
+    for name in sorted(QUICK_SIZES):
+        per_code[name] = _time_code(name, QUICK_SIZES[name], QUICK_H)
+        log(f"    {name:<10} {per_code[name]['total']:8.2f}s")
+    return {
+        "H": QUICK_H,
+        "sizes": {k: dict(v) for k, v in QUICK_SIZES.items()},
+        "optimized": {
             "per_code": per_code,
             "total": sum(c["total"] for c in per_code.values()),
-        }
-    finally:
-        set_optimizations(True)
-
-
-def _stage_speedups(baseline: dict, optimized: dict) -> dict:
-    """Per-stage baseline/optimized ratio, summed across codes.
-
-    A regression in the end-to-end total only says *something* got
-    slower; the per-stage ratios say *which* stage, straight from the
-    committed payload, with no re-run under a profiler.
-    """
-    speedups: dict = {}
-    for stage in STAGES:
-        base = sum(c[stage] for c in baseline["per_code"].values())
-        opt = sum(c[stage] for c in optimized["per_code"].values())
-        speedups[stage] = base / opt if opt > 0 else float("inf")
-    return speedups
-
-
-def _run_section(sizes: Mapping, H: int, log) -> dict:
-    optimized = _run_mode(sizes, H, True, log)
-    baseline = _run_mode(sizes, H, False, log)
-    return {
-        "H": H,
-        "sizes": {k: dict(v) for k, v in sizes.items()},
-        "baseline": baseline,
-        "optimized": optimized,
-        "speedup": (
-            baseline["total"] / optimized["total"]
-            if optimized["total"] > 0
-            else float("inf")
-        ),
-        "stage_speedups": _stage_speedups(baseline, optimized),
+        },
     }
 
 
@@ -436,8 +352,7 @@ def _time_lcg_only(name: str, env: Mapping[str, int], H: int) -> dict:
 
 
 def _run_lcg_section(log) -> dict:
-    """Optimized-only LCG-stage scaling at the full sizes, H in LCG_H_VALUES."""
-    set_optimizations(True)
+    """LCG-stage scaling at the full sizes, H in LCG_H_VALUES."""
     per_H: dict = {}
     for H in LCG_H_VALUES:
         per_code: dict = {}
@@ -536,7 +451,7 @@ def _run_exec_section(log) -> dict:
     from ..dsm import execute_static, execute_with_plan
     from ..obs import Collector
 
-    set_optimizations(True)
+    clear_caches()
     per_code: dict = {}
     for name in sorted(EXEC_SIZES):
         env = EXEC_SIZES[name]
@@ -600,8 +515,8 @@ def _run_exec_section(log) -> dict:
     }
 
 
-def _run_large_H_section(log, H_values=LARGE_H_VALUES) -> dict:
-    """Symbolic-only execution at machine sizes enumeration can't reach.
+def _run_large_H_section(log, H: int) -> dict:
+    """Symbolic-only execution at a machine size enumeration can't reach.
 
     tfft2's env is grown with the machine (same rule as ``repro check``)
     so the ILP stays feasible; the per-code record keeps the env it
@@ -612,75 +527,40 @@ def _run_large_H_section(log, H_values=LARGE_H_VALUES) -> dict:
     from ..check import env_for
     from ..dsm import execute_static, execute_with_plan
 
-    set_optimizations(True)
-    per_H: dict = {}
-    for H in H_values:
-        per_code: dict = {}
-        for name in sorted(EXEC_SIZES):
-            env = env_for(name, EXEC_SIZES[name], H)
-            t0 = time.perf_counter()
-            prog, lcg, plan = _exec_prepare(name, env, H)
-            t_analysis = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            execute_static(prog, env, H, fast_path="symbolic")
-            t_static = time.perf_counter() - t0
-            per_code[name] = {
-                "env": dict(env),
-                "analysis": t_analysis,
-                "symbolic_static": t_static,
-            }
-            if H <= LARGE_H_PLAN_MAX:
-                t0 = time.perf_counter()
-                execute_with_plan(
-                    prog, lcg, plan, env, H, fast_path="symbolic"
-                )
-                per_code[name]["symbolic_plan"] = time.perf_counter() - t0
-            t_plan = per_code[name].get("symbolic_plan")
-            log(
-                f"    H={H:<5} {name:<10} static {t_static:7.3f}s "
-                f"plan {'skipped' if t_plan is None else f'{t_plan:7.3f}s'} "
-                f"(analysis {t_analysis:.2f}s)"
-            )
-        per_H[str(H)] = {
-            "per_code": per_code,
-            "total_static": sum(
-                c["symbolic_static"] for c in per_code.values()
-            ),
-            "total_plan": (
-                sum(c["symbolic_plan"] for c in per_code.values())
-                if H <= LARGE_H_PLAN_MAX
-                else None
-            ),
-        }
-    return {"H_values": list(H_values), "per_H": per_H}
-
-
-def _run_huge_N_section(log) -> dict:
-    """Symbolic-only static execution at ~2**20-element problem sizes."""
-    from ..codes import ALL_CODES
-    from ..dsm import execute_static
-
-    set_optimizations(True)
     per_code: dict = {}
-    for name in sorted(HUGE_N_SIZES):
-        env = HUGE_N_SIZES[name]
-        builder, _, _ = ALL_CODES[name]
-        prog = builder()
+    for name in sorted(EXEC_SIZES):
+        env = env_for(name, EXEC_SIZES[name], H)
         t0 = time.perf_counter()
-        execute_static(prog, env, EXEC_H, fast_path="symbolic")
-        per_code[name] = {"symbolic_static": time.perf_counter() - t0}
+        prog, lcg, plan = _exec_prepare(name, env, H)
+        t_analysis = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        execute_static(prog, env, H, fast_path="symbolic")
+        t_static = time.perf_counter() - t0
+        per_code[name] = {
+            "env": dict(env),
+            "analysis": t_analysis,
+            "symbolic_static": t_static,
+        }
+        if H <= LARGE_H_PLAN_MAX:
+            t0 = time.perf_counter()
+            execute_with_plan(prog, lcg, plan, env, H, fast_path="symbolic")
+            per_code[name]["symbolic_plan"] = time.perf_counter() - t0
+        t_plan = per_code[name].get("symbolic_plan")
         log(
-            f"    {name:<10} static "
-            f"{per_code[name]['symbolic_static']:7.3f}s"
+            f"    H={H:<5} {name:<10} static {t_static:7.3f}s "
+            f"plan {'skipped' if t_plan is None else f'{t_plan:7.3f}s'} "
+            f"(analysis {t_analysis:.2f}s)"
         )
-    return {
-        "H": EXEC_H,
-        "sizes": {k: dict(v) for k, v in HUGE_N_SIZES.items()},
+    totals = {
         "per_code": per_code,
-        "total_static": sum(
-            c["symbolic_static"] for c in per_code.values()
+        "total_static": sum(c["symbolic_static"] for c in per_code.values()),
+        "total_plan": (
+            sum(c["symbolic_plan"] for c in per_code.values())
+            if H <= LARGE_H_PLAN_MAX
+            else None
         ),
     }
+    return {"H_values": [H], "per_H": {str(H): totals}}
 
 
 def _run_sweep_section(log) -> dict:
@@ -712,7 +592,6 @@ def _run_sweep_section(log) -> dict:
     from ..session.state import Session
     from ..session.sweep import run_sweep
 
-    set_optimizations(True)
     env = QUICK_SIZES[SWEEP_CODE]
     builder, _, back_edges = ALL_CODES[SWEEP_CODE]
 
@@ -824,24 +703,21 @@ def run_benchmark(
     exec_section=None,
     sweep_section=None,
 ) -> dict:
-    """Run the harness; returns the BENCH_perf.json payload.
+    """Run the harness; returns the payload (``BENCH_perf.json`` shape).
 
-    ``lcg_section`` forces the optimized-only ``lcg_full`` section on or
-    off; by default it runs whenever the full section does.  Likewise
-    ``exec_section`` for the symbolic-vs-wide ``exec`` section; the
-    symbolic-only ``exec_large_H`` / ``exec_huge_N`` sections run with
-    the full section, and ``sweep_section`` the session-vs-cold sweep
-    comparison.
+    The quick section always runs.  ``lcg_section``, ``exec_section``
+    and ``sweep_section`` force their section on or off; by default each
+    runs unless ``quick_only``.
     """
     result = {
-        "schema": 6,
+        "schema": SCHEMA,
         "platform": platform.platform(),
         "python": platform.python_version(),
         "stages": list(STAGES),
     }
     log(f"quick section (H={QUICK_H})")
-    result["quick"] = _run_section(QUICK_SIZES, QUICK_H, log)
-    log(f"  quick speedup: {result['quick']['speedup']:.2f}x")
+    result["quick"] = _run_quick_section(log)
+    log(f"  quick total: {result['quick']['optimized']['total']:.2f}s")
     if lcg_section is None:
         lcg_section = not quick_only
     if lcg_section:
@@ -857,14 +733,6 @@ def run_benchmark(
     if sweep_section:
         log(f"sweep section (one session vs cold analyze per grid point)")
         result["sweep"] = _run_sweep_section(log)
-    if not quick_only:
-        log(f"full section (H={FULL_H}) — the baseline pass takes minutes")
-        result["full"] = _run_section(FULL_SIZES, FULL_H, log)
-        log(f"  full speedup: {result['full']['speedup']:.2f}x")
-        log(f"exec_large_H section (symbolic only, H in {list(LARGE_H_VALUES)})")
-        result["exec_large_H"] = _run_large_H_section(log)
-        log("exec_huge_N section (symbolic only)")
-        result["exec_huge_N"] = _run_huge_N_section(log)
     return result
 
 
@@ -874,7 +742,7 @@ def check_regression(
     """Compare a fresh quick run against the committed baseline file.
 
     Returns an error string on regression, None when within bounds.
-    Only the optimized-mode quick totals are compared — they are the
+    Only the quick ``optimized`` totals are compared — they are the
     numbers CI can afford to reproduce — and only the ratio matters, so
     the check is host-independent as long as one host produced both...
     which it did not; hence the generous factor.
@@ -1055,7 +923,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--check-lcg", default=None, metavar="BASELINE",
-        help="run the optimized-only lcg_full section and compare against "
+        help="run the lcg_full section and compare against "
         "a committed BENCH_perf.json; exit 1 on regression beyond "
         "--max-regression",
     )
@@ -1105,12 +973,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.exec_smoke is not None:
-        set_optimizations(True)
         section = _run_large_H_section(
-            lambda s: print(s, file=sys.stderr), (args.exec_smoke,)
+            lambda s: print(s, file=sys.stderr), args.exec_smoke
         )
         payload = json.dumps(
-            {"schema": 6, "exec_large_H": section}, indent=2, sort_keys=True
+            {"schema": SCHEMA, "exec_large_H": section},
+            indent=2,
+            sort_keys=True,
         )
         if args.out:
             with open(args.out, "w") as fh:
@@ -1173,7 +1042,7 @@ def main(argv=None) -> int:
             print(error, file=sys.stderr)
             return 1
         print(
-            f"perf check ok: quick optimized total "
+            f"perf check ok: quick total "
             f"{result['quick']['optimized']['total']:.2f}s vs committed "
             f"{committed['quick']['optimized']['total']:.2f}s",
             file=sys.stderr,

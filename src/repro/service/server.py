@@ -82,8 +82,8 @@ from .protocol import (
 from .state import ServerMetrics, SharedState
 
 __all__ = [
-    "ServiceConfig", "AnalysisServer", "JSONRequestHandler",
-    "serve_in_thread", "main_serve",
+    "ServiceConfig", "AnalysisServer", "JSONHTTPServer",
+    "JSONRequestHandler", "serve_in_thread", "main_serve",
 ]
 
 #: Upper bound on request bodies (source text is small; anything bigger
@@ -91,7 +91,25 @@ __all__ = [
 MAX_BODY_BYTES = 4 << 20
 
 
-class AnalysisServer(ThreadingHTTPServer):
+class JSONHTTPServer(ThreadingHTTPServer):
+    """The threaded HTTP server under both front ends.
+
+    Subclasses provide ``metrics`` (a :class:`ServerMetrics`).
+    """
+
+    def handle_error(self, request, client_address):
+        # A client that drops its connection (a keep-alive socket closed
+        # with a reset, a reader gone before the reply) is traffic, not
+        # a handler fault: count it and print nothing.
+        if isinstance(
+            sys.exc_info()[1], (ConnectionResetError, BrokenPipeError)
+        ):
+            self.metrics.bump("http.peer_resets")
+            return
+        super().handle_error(request, client_address)
+
+
+class AnalysisServer(JSONHTTPServer):
     """ThreadingHTTPServer + the serving state machine."""
 
     daemon_threads = False  # drain waits for in-flight handler threads
@@ -345,6 +363,9 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
 
     def _send(self, status: int, body: bytes,
               headers: Optional[dict] = None):
+        # Counted before the write: a client holding its answer must
+        # find it in the next /metrics read.
+        self.server.metrics.note_response(status)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -352,7 +373,6 @@ class JSONRequestHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
-        self.server.metrics.note_response(status)
 
     def _respond(self, status: int, doc, headers: Optional[dict] = None):
         self._send(status, dumps_canonical(doc).encode("utf-8"), headers)

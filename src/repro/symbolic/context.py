@@ -157,8 +157,8 @@ class Context:
     #: the fingerprint and from equality — observability must never
     #: change an answer or a cache key.
     obs: object = field(default=None, compare=False, repr=False)
-    #: per-context override of the refutation layer (None = process
-    #: default), threaded from AnalysisOptions.refutation.
+    #: per-context override of the refutation layer (None = on),
+    #: threaded from AnalysisOptions.refutation.
     refutation: object = field(default=None, compare=False, repr=False)
 
     # -- construction ----------------------------------------------------

@@ -49,9 +49,6 @@ __all__ = [
 #: columns cost nothing thanks to vectorised evaluation.
 BANK_SIZE = 32
 
-#: Master switch; the perf harness moves it via ``_set_refutation_default``.
-_REFUTE_ENABLED = True
-
 _STATS = {"refuted": 0, "passed": 0, "declined": 0}
 
 
@@ -63,14 +60,6 @@ def _reset_stats() -> None:
 #: One sample bank per context fingerprint; clearing it also zeroes the
 #: refuted/passed/declined counters.
 _SAMPLES = memo.register("refute_samples", 4096, on_clear=_reset_stats)
-
-
-def _set_refutation_default(enabled: bool) -> bool:
-    """Move the process default; returns the old setting (no warning)."""
-    global _REFUTE_ENABLED
-    old = _REFUTE_ENABLED
-    _REFUTE_ENABLED = bool(enabled)
-    return old
 
 
 def refutation_stats() -> dict:
@@ -216,9 +205,7 @@ def refute_nonneg(ctx, expr: Expr) -> bool:
     — no counterexample found (the query may still be unprovable).
     """
     enabled = getattr(ctx, "refutation", None)
-    if enabled is None:
-        enabled = _REFUTE_ENABLED
-    if not enabled:
+    if enabled is not None and not enabled:
         return False
     obs = getattr(ctx, "obs", None)
     bank = _bank_for(ctx)

@@ -71,10 +71,10 @@ def test_fast_path_taken_for_rectangular_phase():
 
 def test_wide_fast_path_covers_nonaffine_phase(monkeypatch):
     """F3's inner bounds depend on L and its subscripts carry 2**L —
-    outside the legacy affine fragment, but the wide descriptor-first
-    path must both fire and agree with exact interpretation."""
+    outside any affine-rectangular fragment, but the wide
+    descriptor-first path must both fire and agree with exact
+    interpretation."""
     from repro.codes import build_tfft2
-    from repro.dsm.executor import _legacy_fast_stats
 
     prog = build_tfft2()
     env = {"P": 8, "p": 3, "Q": 8, "q": 3}
@@ -82,7 +82,6 @@ def test_wide_fast_path_covers_nonaffine_phase(monkeypatch):
     schedule = CyclicSchedule(trip=8, p=1, H=4)
     layouts = {"X": BlockLayout(size=2 * 64 + 1, H=4),
                "Y": BlockLayout(size=2 * 64 + 1, H=4)}
-    assert _legacy_fast_stats(phase, env, 4, schedule, layouts) is None
     stats = _try_fast_stats(phase, env, 4, schedule, layouts)
     assert stats is not None
     generic = _generic_stats(phase, env, 4, schedule, layouts, monkeypatch)
@@ -91,8 +90,9 @@ def test_wide_fast_path_covers_nonaffine_phase(monkeypatch):
     assert np.array_equal(stats.iterations, generic.iterations)
 
 
-def test_fast_path_modes_switch():
-    import repro.dsm.executor as ex
+def test_fast_path_modes_switch(monkeypatch):
+    """Each tier answers through its own path, and every path agrees
+    with the interpreter and with the reference counts."""
     from repro.codes import build_adi
 
     prog = build_adi()
@@ -101,17 +101,23 @@ def test_fast_path_modes_switch():
     layouts = {"A": BlockLayout(size=144, H=4),
                "B": BlockLayout(size=144, H=4)}
     phase = prog.phase("F_rows")
-    wide = _try_fast_stats(phase, env, 4, schedule, layouts)
-    old = ex._set_fast_path_default("off")
-    try:
-        assert _try_fast_stats(phase, env, 4, schedule, layouts) is None
-        ex._set_fast_path_default("legacy")
-        legacy = _try_fast_stats(phase, env, 4, schedule, layouts)
-    finally:
-        ex._set_fast_path_default(old)
-    assert legacy is not None and wide is not None
-    assert np.array_equal(wide.local, legacy.local)
-    assert np.array_equal(wide.remote, legacy.remote)
+    assert _try_fast_stats(phase, env, 4, schedule, layouts,
+                           mode="off") is None
+    wide = _try_fast_stats(phase, env, 4, schedule, layouts, mode="wide")
+    assert wide is not None
+    off = _phase_stats(phase, env, 4, schedule, layouts, fast_path="off")
+    generic = _generic_stats(phase, env, 4, schedule, layouts, monkeypatch)
+    # Counted by hand: column J (addresses 12J..12J+11, owned by PE
+    # J // 3 under BLOCK(36)) runs on PE (J // 2) % 4 under CYCLIC(2),
+    # so only columns 0, 1 (PE 0) and 3 (PE 1) are local, each
+    # contributing 12 accesses to each of A and B.
+    assert list(wide.local) == [48, 24, 0, 0]
+    assert list(wide.remote) == [48, 72, 48, 48]
+    assert list(wide.iterations) == [4, 4, 2, 2]
+    for stats in (off, generic):
+        assert np.array_equal(wide.local, stats.local)
+        assert np.array_equal(wide.remote, stats.remote)
+        assert np.array_equal(wide.iterations, stats.iterations)
 
 
 def test_negative_stride_reference(monkeypatch):

@@ -24,10 +24,7 @@ from repro.locality import (
     clear_analysis_cache,
     get_analysis_cache,
 )
-from repro.locality.engine import (
-    _resolve_cache,
-    _set_analysis_cache_default as set_analysis_cache,
-)
+from repro.locality.engine import _resolve_cache
 from repro.symbolic import sym
 
 
@@ -226,16 +223,11 @@ class TestDiskCache:
 
 class TestToggles:
     def test_cache_toggle_resolution(self):
-        previous = set_analysis_cache(True)
-        try:
-            assert _resolve_cache(None) is get_analysis_cache()
-            set_analysis_cache(False)
-            assert _resolve_cache(None) is None
-            assert _resolve_cache(True) is get_analysis_cache()
-            own = AnalysisCache()
-            assert _resolve_cache(own) is own
-        finally:
-            set_analysis_cache(previous)
+        assert _resolve_cache(None) is get_analysis_cache()
+        assert _resolve_cache(True) is get_analysis_cache()
+        assert _resolve_cache(False) is None
+        own = AnalysisCache()
+        assert _resolve_cache(own) is own
 
 
 class TestDropDEdges:

@@ -2,6 +2,8 @@
 
 import http.client
 import json
+import socket
+import struct
 import threading
 import time
 
@@ -90,14 +92,21 @@ class TestEndpoints:
         response.read()
         conn.close()
 
-    @pytest.mark.parametrize("spec", ["engine=serial", "workers=2"])
+    @pytest.mark.parametrize(
+        "spec", ["engine=serial", "workers=2", "fast_path=legacy"]
+    )
     def test_removed_option_key_400(self, server, spec):
         status, body, _ = _post_raw(
             _port(server), {"code": "jacobi", "H": 4, "options": spec}
         )
         assert status == 400
-        key = spec.split("=")[0]
-        assert f"unknown option {key!r}" in json.loads(body)["error"]
+        key, _, value = spec.partition("=")
+        message = (
+            f"unknown dsm_fast_path {value!r}"
+            if key == "fast_path"
+            else f"unknown option {key!r}"
+        )
+        assert message in json.loads(body)["error"]
 
     def test_metrics_and_cache_stats_shape(self, server):
         client = ServiceClient(port=_port(server))
@@ -115,6 +124,83 @@ class TestEndpoints:
             invariant["edge_hits"] + invariant["edge_misses"]
             == invariant["edge_lookups"]
         )
+
+
+class _CountingWriter:
+    """Forwards writes, noting at each how many 200s the server counted."""
+
+    def __init__(self, inner, metrics, seen):
+        self._inner, self._metrics, self._seen = inner, metrics, seen
+
+    def write(self, data):
+        self._seen.append(self._metrics.snapshot()["responses"].get("200", 0))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _cluster_router():
+    from repro.cluster.router import ClusterRouter
+
+    return ClusterRouter(ServiceConfig(port=0, workers=2))
+
+
+class TestHTTPAccounting:
+    def test_response_counted_before_its_body_is_written(self, server):
+        seen: list = []
+
+        class Counting(server.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                self.wfile = _CountingWriter(
+                    self.wfile, self.server.metrics, seen
+                )
+
+        server.RequestHandlerClass = Counting
+        assert ServiceClient(port=_port(server)).health()["status"] == "ok"
+        # the last write is the body: a client reading it can already
+        # see its response in /metrics
+        assert seen and seen[-1] == 1
+
+    def test_peer_reset_is_counted_not_printed(self, server, capsys):
+        sock = socket.create_connection(("127.0.0.1", _port(server)))
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n")
+        # close with a reset while the server still waits for headers
+        sock.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+        )
+        sock.close()
+        assert _wait_until(
+            lambda: server.metrics_document()["counters"].get(
+                "http.peer_resets"
+            )
+            == 1
+        )
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", ["server", "router"])
+    def test_only_peer_resets_are_silenced(self, make, server, capsys):
+        srv = server if make == "server" else _cluster_router()
+        try:
+            for exc in (ConnectionResetError(104, "reset"),
+                        BrokenPipeError(32, "pipe")):
+                try:
+                    raise exc
+                except OSError:
+                    srv.handle_error(None, ("127.0.0.1", 1))
+            assert srv.metrics.snapshot()["counters"]["http.peer_resets"] == 2
+            assert capsys.readouterr().err == ""
+            try:
+                raise ValueError("handler bug")
+            except ValueError:
+                srv.handle_error(None, ("127.0.0.1", 1))
+            err = capsys.readouterr().err
+            assert "Traceback" in err and "handler bug" in err
+            assert srv.metrics.snapshot()["counters"]["http.peer_resets"] == 2
+        finally:
+            if srv is not server:
+                srv.server_close()
 
 
 class TestServedIdentity:

@@ -14,11 +14,7 @@ from repro.symbolic import (
     sym,
     symbols,
 )
-from repro.symbolic.refute import (
-    _SampleBank,
-    _bank_for,
-    _set_refutation_default as set_refutation,
-)
+from repro.symbolic.refute import _SampleBank, _bank_for
 
 n, m, x, P, p, i = symbols("n m x P p i")
 
@@ -26,9 +22,7 @@ n, m, x, P, p, i = symbols("n m x P p i")
 @pytest.fixture(autouse=True)
 def fresh_banks():
     memo.banks()["refute_samples"].clear()
-    old = set_refutation(True)
     yield
-    set_refutation(old)
     memo.banks()["refute_samples"].clear()
 
 
@@ -118,11 +112,8 @@ class TestSoundness:
             2 * Psym - Q - 4,
             Psym * Q - Psym - Q + 1,
         ]
-        was = set_refutation(False)
-        try:
-            proved = [ctx.is_nonneg(e) for e in exprs]
-        finally:
-            set_refutation(was)
+        ctx.refutation = False
+        proved = [ctx.is_nonneg(e) for e in exprs]
         ctx2 = (
             Context()
             .assume_positive("P", "Q", "H")
@@ -158,13 +149,8 @@ class TestDeterminism:
 
 class TestToggleAndStats:
     def test_disabled_never_refutes(self):
-        ctx = Context()
-        set_refutation(False)
+        ctx = Context(refutation=False)
         assert refute_nonneg(ctx, num(-1)) is False
-
-    def test_set_refutation_returns_previous(self):
-        assert set_refutation(False) is True
-        assert set_refutation(True) is False
 
     def test_stats_count_verdicts(self):
         ctx = Context().assume_positive("n")
@@ -184,7 +170,6 @@ class TestToggleAndStats:
         exprs = [n - 1, 2 * n + 3, n - 5]
         on, off = [], []
         for enabled, out in ((True, on), (False, off)):
-            set_refutation(enabled)
-            ctx = Context().assume_positive("n")
+            ctx = Context(refutation=enabled).assume_positive("n")
             out.extend(ctx.is_nonneg(e) for e in exprs)
         assert on == off

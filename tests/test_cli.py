@@ -171,9 +171,12 @@ def test_removed_aliases_are_rejected(capsys):
         assert "unrecognized arguments" in err
 
 
-@pytest.mark.parametrize("spec", ["engine=parallel", "workers=2"])
+@pytest.mark.parametrize(
+    "spec", ["engine=parallel", "workers=2", "fast_path=legacy"]
+)
 def test_removed_opt_keys_exit_with_message(spec):
-    """The parallel engine's keys fail loudly, never with a traceback."""
+    """The parallel engine's keys and the legacy executor tier fail
+    loudly, never with a traceback."""
     import os
     import pathlib
     import subprocess
@@ -186,9 +189,14 @@ def test_removed_opt_keys_exit_with_message(spec):
         [sys.executable, "-m", "repro", "--code", "jacobi", "--opt", spec],
         capture_output=True, text=True, timeout=120, env=env,
     )
-    key = spec.split("=")[0]
-    assert proc.returncode != 0
-    assert f"unknown option {key!r}" in proc.stderr
+    key, _, value = spec.partition("=")
+    message = (
+        f"unknown dsm_fast_path {value!r}"
+        if key == "fast_path"
+        else f"unknown option {key!r}"
+    )
+    assert proc.returncode == 1
+    assert message in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -25,11 +25,11 @@ class TestSpecGrammar:
     def test_from_spec_parses_every_key(self):
         opts = AnalysisOptions.from_spec(
             "cache=/tmp/lcg.pkl,refutation=off,"
-            "fast_path=legacy,trace=on,metrics=on"
+            "fast_path=symbolic,trace=on,metrics=on"
         )
         assert opts.analysis_cache == "/tmp/lcg.pkl"
         assert opts.refutation is False
-        assert opts.dsm_fast_path == "legacy"
+        assert opts.dsm_fast_path == "symbolic"
         assert opts.trace is True and opts.metrics is True
 
     def test_cache_accepts_on_off(self):
@@ -87,6 +87,9 @@ class TestValidation:
     def test_unknown_fast_path(self):
         with pytest.raises(ValueError, match="unknown dsm_fast_path"):
             AnalysisOptions(dsm_fast_path="hyper")
+        # the affine-rectangular "legacy" tier was removed
+        with pytest.raises(ValueError, match="unknown dsm_fast_path"):
+            AnalysisOptions.from_spec("fast_path=legacy")
 
     def test_bad_workers(self):
         # the pool-width knob went with the parallel engine
@@ -207,7 +210,7 @@ class TestKnobThreading:
             back_edges=back,
             options=AnalysisOptions(metrics=True),
         )
-        # the process default (refutation on) is back in force
+        # the built-in default (refutation on) is back in force
         assert result.metrics["counters"].get("refute.refuted", 0) > 0
 
     def test_cache_path_round_trips(self, tmp_path):
@@ -262,37 +265,24 @@ class TestConfigurationSurface:
             assert not hasattr(module, name)
             assert name not in module.__all__
 
-    def test_default_movers_still_validate(self):
-        from repro.dsm.executor import _set_fast_path_default
-
-        with pytest.raises(ValueError, match="unknown fast-path"):
-            _set_fast_path_default("turbo")
-
-    def test_refutation_default_moves(self):
-        from repro.symbolic import refute
-        from repro.symbolic.refute import _set_refutation_default
-
-        old = _set_refutation_default(False)
-        try:
-            assert refute._REFUTE_ENABLED is False
-        finally:
-            _set_refutation_default(old)
-
-    def test_option_none_inherits_moved_default(self):
-        """An option left at None follows what the shim set."""
-        from repro.dsm.executor import _set_fast_path_default
+    def test_executor_rejects_unknown_tier(self):
+        from repro.dsm import execute_static
 
         program, env = _small_program()
-        old = _set_fast_path_default("off")
-        try:
-            clear_caches()
-            result = analyze(
-                program, env=env, H=4, options=AnalysisOptions(metrics=True)
-            )
-            c = result.metrics["counters"]
-            assert c.get("dsm.fast_path.interp", 0) > 0
-        finally:
-            _set_fast_path_default(old)
+        for tier in ("turbo", "legacy"):
+            with pytest.raises(ValueError, match="unknown fast-path"):
+                execute_static(program, env, 4, fast_path=tier)
+
+    def test_option_none_means_wide_tier(self):
+        program, env = _small_program()
+        clear_caches()
+        result = analyze(
+            program, env=env, H=4, options=AnalysisOptions(metrics=True)
+        )
+        c = result.metrics["counters"]
+        assert c.get("dsm.fast_path.wide", 0) > 0
+        assert c.get("dsm.fast_path.interp", 0) == 0
+        assert c.get("dsm.fast_path.symbolic", 0) == 0
 
 
 from hypothesis import given, settings
@@ -319,7 +309,7 @@ class TestSpecRoundTripProperty:
     @given(
         cache=st.one_of(st.none(), st.booleans(), _paths),
         refutation=st.sampled_from([None, True, False]),
-        fast_path=st.sampled_from([None, "wide", "legacy", "off"]),
+        fast_path=st.sampled_from([None, "symbolic", "wide", "off"]),
         trace=st.booleans(),
         metrics=st.booleans(),
     )
@@ -380,9 +370,9 @@ class TestFromSpecs:
 
     def test_one_spec_per_flag_needs_no_escaping_across_flags(self):
         opts = AnalysisOptions.from_specs(
-            ["fast_path=legacy", "cache=/tmp/warm\\,start.pkl"]
+            ["fast_path=symbolic", "cache=/tmp/warm\\,start.pkl"]
         )
-        assert opts.dsm_fast_path == "legacy"
+        assert opts.dsm_fast_path == "symbolic"
         assert opts.analysis_cache == "/tmp/warm,start.pkl"
 
     def test_later_specs_win(self):
