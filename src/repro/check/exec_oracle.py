@@ -1,7 +1,8 @@
 """Execution-tier oracle — symbolic accounting ≡ wide enumeration.
 
-The ``"symbolic"`` executor tier (:mod:`repro.dsm.closed_form`) promises
-*byte-identical* results to the ``"wide"`` enumeration tier: the same
+The ``"symbolic"`` executor tier (:mod:`repro.dsm.closed_form`), the
+default behind every front end, promises *byte-identical* results to
+the ``"wide"`` enumeration tier, which is kept as its reference: the same
 per-PE local/remote/iteration counts for every phase and the same
 aggregated communication plans (pattern, put order, sources,
 destinations, element counts) for every edge.  This oracle runs both

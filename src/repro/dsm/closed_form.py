@@ -21,8 +21,14 @@ floor-sum arithmetic on ``(base, stride, span)``:
   ``dpar*p*H mod M`` — a periodic sequence whose distinct values and
   multiplicities are closed-form, so H=4096 machines cost no more than
   H=16 when the schedule and layout are aligned (the common case: every
-  PE then sees a translated copy of the same picture, and a memo
-  collapses the whole sweep to one evaluation).
+  PE then sees a translated copy of the same picture, and the rows that
+  share a residue share one evaluation).
+
+The counts are not a loop over PEs: every (segment, PE) pair is one row
+of int64 arrays, segments of the same shape and owner model are batched
+across references, and the floor-sums run over all rows at once.  A
+triangular nest, whose inner bounds move with the parallel index, is
+counted one row per parallel iteration instead.
 
 Anything outside the fragment — symbolic strides after concretisation,
 layout clamps, residue budgets — falls back *per segment* (or per
@@ -34,7 +40,6 @@ reference) to exact enumeration, and every fallback increments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Mapping, Optional
@@ -47,7 +52,9 @@ from ..distribution.schedule import (
     ReplicatedLayout,
     SegmentedLayout,
 )
+from ..symbolic.compile import UncompilableExpr, compile_expr
 from ..symbolic.expr import shift_difference
+from .executor import _ev_int, collect_refs, enumerate_ref
 
 __all__ = [
     "Segment",
@@ -132,81 +139,117 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _sum_clamp_floor(M: int, g: int, d: int, s: int, nu: int) -> int:
-    """``sum(clamp((g + d*m) // s, 0, nu) for m in range(M))``, s > 0."""
-    if M <= 0 or nu <= 0:
-        return 0
-    if d == 0:
-        return M * min(max(g // s, 0), nu)
-    if d > 0:
-        m1 = max(_ceil_div(s - g, d), 0)       # first m with v >= 1
-        m2 = max(_ceil_div(nu * s - g, d), 0)  # first m with v >= nu
-        m1c, m2c = min(m1, M), min(m2, M)
-        total = (M - m2c) * nu
-        if m2c > m1c:
-            total += floor_sum(m2c - m1c, s, d, g + d * m1c)
-        return total
-    nd = -d
-    m1 = (g - s) // nd       # last m with v >= 1
-    m2 = (g - nu * s) // nd  # last m with v >= nu
-    m1c, m2c = min(m1, M - 1), min(m2, M - 1)
-    total = 0
-    if m2c >= 0:
-        total += (m2c + 1) * nu
-    lo = max(m2c + 1, 0)
-    if m1c >= lo:
-        total += floor_sum(m1c - lo + 1, s, d, g + d * lo)
-    return total
+#: Bound every intermediate of a vectorised count must stay under to be
+#: computed in int64; larger inputs run the same code on Python-int
+#: (``dtype=object``) arrays instead.
+_I64_SAFE = 1 << 62
+#: Cells per vectorised block: bounds the temporaries of one count.
+_VEC_CELLS = 1 << 18
+#: Below this many elements a floor-sum runs the scalar recurrence per
+#: element: numpy's per-call overhead would dominate.
+_SCALAR_ROWS = 32
 
 
-def _sum_window(M: int, g: int, beta: int, s: int, nu: int, A: int,
-                B: Optional[int]) -> int:
-    """``sum over m < M of #{k < nu: A <= g + beta*m + s*k < B}``, s > 0.
+def _floor_sum_vec(n, m: int, a: int, b) -> np.ndarray:
+    """Elementwise :func:`floor_sum` over arrays ``n`` (or one shared
+    count) and ``b``, with ``m > 0`` and ``a`` shared by every element.
 
-    ``B is None`` means an unbounded window top (the last BLOCK PE).
+    ``a`` and ``m`` stay scalars through the Euclid recurrence, so every
+    element takes the same rounds; an element whose remainder drops
+    below ``m`` is retired by its ``n`` reaching zero.  A few elements, Python
+    -int (``object``) input, or input where an intermediate could pass
+    2**62 go through the scalar recurrence element by element instead.
     """
-    hi = nu * M if B is None else _sum_clamp_floor(
-        M, B - g + s - 1, -beta, s, nu
-    )
-    lo = _sum_clamp_floor(M, A - g + s - 1, -beta, s, nu)
-    return hi - lo
+    b = np.asarray(b)
+    if np.ndim(n) == 0:
+        n = np.full(b.shape, max(int(n), 0), dtype=np.int64)
+    else:
+        n = np.maximum(n, 0)
+    exact = b.dtype == object or n.dtype == object
+    if not exact and b.size > _SCALAR_ROWS:
+        X, Bm = int(n.max()), int(np.abs(b).max())
+        exact = (2 * X * X * (abs(a) // m + 2) + 2 * X * (Bm // m + 2)
+                 + (m + abs(a)) * (X + 2)) >= _I64_SAFE
+    if exact or b.size <= _SCALAR_ROWS:
+        out = [floor_sum(x, m, a, y) for x, y in zip(n.tolist(), b.tolist())]
+        if not exact and max(map(abs, out), default=0) >= _I64_SAFE:
+            exact = True
+        return np.array(out, dtype=object if exact else np.int64)
+    if m == 1:
+        return n * (n - 1) // 2 * a + n * b
+    ans = np.zeros(n.shape, dtype=np.int64)
+    while True:
+        if a >= m or a < 0:
+            qa, a = divmod(a, m)
+            ans += n * (n - 1) // 2 * qa
+        qb, b = np.divmod(b, m)
+        ans += n * qb
+        # An element with a*n + b < m gets n = 0 and adds nothing more.
+        n, b = np.divmod(a * n + b, m)
+        if not n.any():
+            return ans
+        a, m = m, a
 
 
-def _ap_in_range(M: int, g: int, beta: int, A: int,
-                 B: Optional[int]) -> int:
-    """``#{m < M: A <= g + beta*m (< B)}``."""
-    if M <= 0:
-        return 0
+def _sum_clamp_floor(M, g, d: int, s: int, nu: int):
+    """Elementwise ``sum(clamp((g + d*m) // s, 0, nu) for m in range(M))``
+    over arrays ``M >= 0`` and ``g``; ``s > 0``."""
+    if nu <= 0:
+        return g * 0
+    if d == 0:
+        return M * np.minimum(np.maximum(g // s, 0), nu)
+    if d > 0:
+        m1 = np.minimum(np.maximum(-((g - s) // d), 0), M)       # v >= 1
+        m2 = np.minimum(np.maximum(-((g - nu * s) // d), 0), M)  # v >= nu
+        return (M - m2) * nu + _floor_sum_vec(m2 - m1, s, d, g + d * m1)
+    nd = -d
+    m1 = np.minimum((g - s) // nd, M - 1)       # last m with v >= 1
+    m2 = np.minimum((g - nu * s) // nd, M - 1)  # last m with v >= nu
+    lo = np.maximum(m2 + 1, 0)
+    return lo * nu + _floor_sum_vec(m1 - lo + 1, s, d, g + d * lo)
+
+
+def _sum_window(M, g, beta: int, s: int, nu: int, A, B, top):
+    """Elementwise ``sum over m < M of #{k < nu: A <= g + beta*m + s*k
+    < B}``, s > 0; where ``top`` holds the window is unbounded above
+    (the last BLOCK PE)."""
+    k = len(g)
+    both = _sum_clamp_floor(np.concatenate([M, M]),
+                            np.concatenate([B - g, A - g]) + (s - 1),
+                            -beta, s, nu)
+    return np.where(top, nu * M, both[:k]) - both[k:]
+
+
+def _ap_in_range(M, g, beta: int, A, B, top):
+    """Elementwise ``#{m < M: A <= g + beta*m (< B unless top)}``."""
     if beta == 0:
-        return M if g >= A and (B is None or g < B) else 0
+        return np.where((g >= A) & (top | (g < B)), M, 0)
     if beta > 0:
-        lo = max(_ceil_div(A - g, beta), 0)
-        hi = M - 1 if B is None else min(M - 1, _ceil_div(B - g, beta) - 1)
-        return max(hi - lo + 1, 0)
-    nd = -beta
-    hi = min((g - A) // nd, M - 1)
-    lo = 0 if B is None else max((g - B) // nd + 1, 0)
-    return max(hi - lo + 1, 0)
+        lo = np.maximum(-((g - A) // beta), 0)
+        hi = np.where(top, M - 1,
+                      np.minimum(M - 1, -((g - B) // beta) - 1))
+    else:
+        nd = -beta
+        hi = np.minimum((g - A) // nd, M - 1)
+        lo = np.where(top, 0, np.maximum((g - B) // nd + 1, 0))
+    return np.maximum(hi - lo + 1, 0)
 
 
-def _mod_window_count(rho: int, s: int, nu: int, c: int, M: int) -> int:
-    """``#{k < nu: (rho + s*k) mod M < c}`` via two floor-sums."""
-    return floor_sum(nu, M, s, rho) - floor_sum(nu, M, s, rho - c)
-
-
-def _residues(g: int, beta: int, cnt: int, M: int):
-    """Distinct values of ``(g + beta*t) mod M`` for t < cnt, with
-    multiplicities — closed form via the residue period M/gcd."""
+def _residue_table(g, beta: int, cnt, M: int):
+    """Distinct values of ``(g + beta*t) mod M`` for t < cnt, per row of
+    ``g``/``cnt``, with multiplicities — closed form via the residue
+    period M/gcd.  Returns two ``rows x distinct`` arrays (a weight of
+    zero pads rows with fewer residues)."""
     b = beta % M
-    if b == 0 or cnt == 1:
-        yield g % M, cnt
-        return
+    if b == 0:
+        return (g % M)[:, None], cnt[:, None]
     pi = M // gcd(b, M)
-    distinct = min(cnt, pi)
+    distinct = min(int(cnt.max(initial=0)), pi)
     if distinct > LOOP_BUDGET:
         raise _Budget("residues")
-    for t in range(distinct):
-        yield (g + beta * t) % M, (cnt - t + pi - 1) // pi
+    t = np.arange(distinct, dtype=np.int64).astype(g.dtype)
+    rho = (g[:, None] + beta * t) % M
+    return rho, np.maximum((cnt[:, None] - t + pi - 1) // pi, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +282,16 @@ def _dims(pairs) -> tuple:
     return adj, mu, [tuple(x) for x in merged]
 
 
-def _count_interval(M: int, g: int, beta: int, dims, mu: int, A: int,
-                    B: Optional[int]) -> int:
-    """Lattice points of ``g + beta*m + dims`` (m < M) inside [A, B)."""
-    if M <= 0:
-        return 0
+def _count_interval(M, g, beta: int, dims, mu: int, A, B, top):
+    """Elementwise lattice points of ``g + beta*m + dims`` (m < M) inside
+    ``[A, B)`` (unbounded above where ``top`` holds)."""
+    if not M.any():
+        return g * 0
     if not dims:
-        return mu * _ap_in_range(M, g, beta, A, B)
+        return mu * _ap_in_range(M, g, beta, A, B, top)
     if len(dims) == 1:
         (s, nu), = dims
-        return mu * _sum_window(M, g, beta, s, nu, A, B)
+        return mu * _sum_window(M, g, beta, s, nu, A, B, top)
     (s1, n1), (s2, n2) = dims
     if n1 <= n2:
         ls, ln, s, nu = s1, n1, s2, n2
@@ -256,37 +299,58 @@ def _count_interval(M: int, g: int, beta: int, dims, mu: int, A: int,
         ls, ln, s, nu = s2, n2, s1, n1
     if ln > LOOP_BUDGET:
         raise _Budget("interval-dims")
-    return mu * sum(
-        _sum_window(M, g + ls * t, beta, s, nu, A, B) for t in range(ln)
-    )
-
-
-def _count_cyclic(M_cnt: int, g: int, beta: int, dims, mu: int, c: int,
-                  M: int, memo: dict) -> int:
-    """Lattice points with ``(g + beta*m + dims) mod M < c`` (m < M_cnt)."""
-    if M_cnt <= 0:
-        return 0
-    total = 0
-    for rho, k_mult in _residues(g, beta, M_cnt, M):
-        total += k_mult * _lattice_mod_count(rho, dims, c, M, memo)
+    # Fold the shorter dimension into the rows, a block of offsets at a
+    # time.
+    total = g * 0
+    step = max(1, _VEC_CELLS // len(g))
+    for t0 in range(0, ln, step):
+        t = np.arange(t0, min(t0 + step, ln), dtype=np.int64)
+        t = t.astype(g.dtype)
+        k = t.size
+        part = _sum_window(
+            np.repeat(M, k), (g[:, None] + ls * t).ravel(), beta, s, nu,
+            np.repeat(A, k), np.repeat(B, k), np.repeat(top, k),
+        )
+        total = total + part.reshape(-1, k).sum(axis=1)
     return mu * total
 
 
-def _lattice_mod_count(rho: int, dims, c: int, M: int, memo: dict) -> int:
+def _count_cyclic(cnt, g, beta: int, dims, mu: int, c: int,
+                  M: int) -> np.ndarray:
+    """Elementwise lattice points with ``(g + beta*m + dims) mod M < c``
+    (m < cnt).  Rows that share a residue share its count: in the
+    aligned case every PE sees a translated copy of one picture, and
+    the whole sweep costs one evaluation."""
+    total = g * 0
+    if not cnt.any():
+        return total
+    width = 1 if beta % M == 0 else min(
+        int(cnt.max()), M // gcd(beta % M, M)
+    )
+    step = max(1, _VEC_CELLS // width)
+    for r0 in range(0, len(g), step):
+        rows = slice(r0, r0 + step)
+        rho, w = _residue_table(g[rows], beta, cnt[rows], M)
+        flat = rho.ravel()
+        if flat.size <= _SCALAR_ROWS:
+            vals = _lattice_counts(flat, dims, c, M).reshape(rho.shape)
+        elif (flat == flat[0]).all():
+            vals = _lattice_counts(flat[:1], dims, c, M)[0]
+        else:
+            uniq, inv = np.unique(flat, return_inverse=True)
+            vals = _lattice_counts(uniq, dims, c, M)[inv].reshape(rho.shape)
+        total[rows] = (w * vals).sum(axis=1)
+    return mu * total
+
+
+def _lattice_counts(rho, dims, c: int, M: int) -> np.ndarray:
+    """``#{k in dims: (rho + k) mod M < c}`` for each residue ``rho``."""
     if not dims:
-        return 1 if rho < c else 0
+        return np.where(rho < c, 1, 0)
     if len(dims) == 1:
-        key = (dims[0], rho)
-        v = memo.get(key)
-        if v is None:
-            (s, nu), = dims
-            v = _mod_window_count(rho, s, nu, c, M)
-            memo[key] = v
-        return v
-    key = (dims[0], dims[1], rho)
-    v = memo.get(key)
-    if v is not None:
-        return v
+        (s, nu), = dims
+        both = _floor_sum_vec(nu, M, s, np.concatenate([rho, rho - c]))
+        return both[:len(rho)] - both[len(rho):]
     (s1, n1), (s2, n2) = dims
 
     def cost(s, n):
@@ -294,14 +358,19 @@ def _lattice_mod_count(rho: int, dims, c: int, M: int, memo: dict) -> int:
         return min(n, M // gcd(b, M)) if b else 1
 
     if cost(s1, n1) <= cost(s2, n2):
-        loop, keep = (s1, n1), [(s2, n2)]
+        (ls, ln), keep = (s1, n1), [(s2, n2)]
     else:
-        loop, keep = (s2, n2), [(s1, n1)]
-    v = 0
-    for r, k_mult in _residues(0, loop[0], loop[1], M):
-        v += k_mult * _lattice_mod_count((rho + r) % M, keep, c, M, memo)
-    memo[key] = v
-    return v
+        (ls, ln), keep = (s2, n2), [(s1, n1)]
+    r, w = _residue_table(np.zeros(1, dtype=np.int64), ls,
+                          np.array([ln], dtype=np.int64), M)
+    r, w = r[0], w[0]
+    total = rho * 0
+    step = max(1, _VEC_CELLS // r.size)
+    for i0 in range(0, len(rho), step):
+        inner = (rho[i0:i0 + step, None] + r) % M
+        vals = _lattice_counts(inner.ravel(), keep, c, M)
+        total[i0:i0 + step] = (w * vals.reshape(inner.shape)).sum(axis=1)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +378,27 @@ def _lattice_mod_count(rho: int, dims, c: int, M: int, memo: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ev(expr, fenv: dict, bindings: Optional[Mapping[str, int]] = None) -> int:
-    env = fenv
+def _ev(expr, env: Mapping[str, int],
+        bindings: Optional[Mapping[str, int]] = None) -> int:
+    """``expr`` as an exact int under ``env`` (plus ``bindings``).
+
+    Goes through the memoized compiled closure, so a repeated execution
+    of a plan re-evaluates its bounds and strides without ``Fraction``
+    arithmetic; anything the closure declines is decided by the exact
+    interpreter, which names the miss.
+    """
     if bindings:
-        env = dict(fenv)
-        for k, v in bindings.items():
-            env[k] = Fraction(v)
+        env = {**env, **bindings}
     try:
-        v = expr.evalf(env)
-    except (KeyError, ValueError, ZeroDivisionError) as e:
+        return compile_expr(expr).evali(env)
+    except (UncompilableExpr, KeyError, ValueError, ZeroDivisionError):
+        pass
+    try:
+        return _ev_int(expr, env)
+    except (KeyError, ZeroDivisionError) as e:
         raise SymbolicMiss("symbolic-value") from e
-    if v.denominator != 1:
-        raise SymbolicMiss("non-integer")
-    return int(v)
+    except ValueError as e:
+        raise SymbolicMiss("non-integer") from e
 
 
 def decompose_ref(chain, subscript, env: Mapping[str, int],
@@ -339,7 +416,6 @@ def decompose_ref(chain, subscript, env: Mapping[str, int],
     values, budget overruns).
     """
     par, inner = chain[0], list(chain[1:])
-    fenv = {k: Fraction(v) for k, v in env.items()}
     pos_of = {loop.index: t for t, loop in enumerate(inner)}
 
     dpar_expr = shift_difference(subscript, par.index)
@@ -418,22 +494,22 @@ def decompose_ref(chain, subscript, env: Mapping[str, int],
         base_env = dict(bindings)
         for t in free_pos:
             loop = inner[t]
-            lo = _ev(loop.lower, fenv, bindings)
-            hi = _ev(loop.upper, fenv, bindings)
+            lo = _ev(loop.lower, env, bindings)
+            hi = _ev(loop.upper, env, bindings)
             n = hi - lo + 1
             if n <= 0:
                 return  # zero-trip inner loop: no accesses
             base_env[loop.index.name] = lo
             if n == 1:
                 continue
-            s = _ev(stride_expr[t], fenv, bindings)
+            s = _ev(stride_expr[t], env, bindings)
             if s == 0:
                 mult *= n
             else:
                 dims.append((s, n))
-        dpar = _ev(dpar_expr, fenv, bindings)
+        dpar = _ev(dpar_expr, env, bindings)
         base_env[par.index.name] = par_lo
-        base = _ev(subscript, fenv, base_env) - dpar * par_lo
+        base = _ev(subscript, env, base_env) - dpar * par_lo
         adj, mu, norm = _dims(dims)
         base += adj
         mult *= mu
@@ -459,8 +535,8 @@ def decompose_ref(chain, subscript, env: Mapping[str, int],
             emit(bindings)
             return
         loop = conc_loops[ci]
-        lo = _ev(loop.lower, fenv, bindings)
-        hi = _ev(loop.upper, fenv, bindings)
+        lo = _ev(loop.lower, env, bindings)
+        hi = _ev(loop.upper, env, bindings)
         if hi - lo + 1 > BIND_BUDGET:
             raise _Budget("concretize")
         for v in range(lo, hi + 1):
@@ -578,62 +654,147 @@ def _seg_span(seg: Segment, ilo: int, ihi: int):
 # ---------------------------------------------------------------------------
 
 
-def _count_segment_model(seg: Segment, ilo: int, ihi: int, p: int,
-                         H: int, model) -> np.ndarray:
-    """Per-PE local counts of one segment under one owner model."""
+def _lattice_row(seg: Segment, model):
+    """``(key, (base, mult))`` of a segment under an owner model.
+
+    Segments with equal keys are counted in one batch.  The key is the
+    model's kind and window plus the segment's ``(dpar, s, n)``; the
+    BLOCK-CYCLIC origin folds into the base, and a reversed layout is
+    cyclic on the mirrored address ``AA - addr``.
+    """
+    if model[0] == "interval":
+        return ("interval", model[1], seg.dpar, seg.s, seg.n), (
+            seg.base, seg.mult)
+    if model[0] == "cyclic":
+        _kind, origin, c = model
+        return ("cyclic", c, seg.dpar, seg.s, seg.n), (
+            seg.base - origin, seg.mult)
+    _kind, AA, c = model
+    return ("cyclic", c, -seg.dpar, seg.s, seg.n), (
+        AA - seg.base - seg.s * (seg.n - 1), seg.mult)
+
+
+def _count_lattices(key, rows, ilo: int, ihi: int, p: int,
+                    H: int) -> np.ndarray:
+    """Per-PE local counts of ``(base, mult)`` lattice rows sharing a
+    :func:`_lattice_row` key.
+
+    PE ``q`` runs the full CYCLIC(p) blocks ``j_q, j_q + H, ...``; every
+    (row, PE) pair and every (row, clipped edge block) pair is counted
+    at once.  Counts are int64 unless an intermediate could pass 2**62,
+    in which case they hold Python ints.
+    """
     local = np.zeros(H, dtype=np.int64)
     if ihi < ilo:
         return local
-    b0, d, s, n = seg.base, seg.dpar, seg.s, seg.n
-    if model[0] == "reversed":
-        _kind, AA, c = model
-        seg2 = Segment(base=AA - b0 - s * (n - 1), dpar=-d, s=s, n=n,
-                       mult=seg.mult)
-        return _count_segment_model(seg2, ilo, ihi, p, H,
-                                    ("cyclic", 0, c))
+    kind, win, d, s, n = key
+    merged: dict = {}
+    for b, m in rows:
+        merged[b] = merged.get(b, 0) + m
+    bases = list(merged)
+    mults = np.array(list(merged.values()), dtype=np.int64)[:, None]
     jlo_f, jhi_f, partials = _block_structure(ilo, ihi, p)
     adj_f, mu_f, dims_f = _dims([(d, p), (s, n)])
     adj_p, mu_p, dims_p = _dims([(s, n)])
     beta = d * p * H
-    memo: dict = {}
-    if model[0] == "interval":
-        _kind, blk = model
-        for q in range(H):
-            j_q = jlo_f + ((q - jlo_f) % H)
-            Mq = 0 if j_q > jhi_f else (jhi_f - j_q) // H + 1
-            B = None if q == H - 1 else (q + 1) * blk
-            cnt = _count_interval(
-                Mq, b0 + d * p * j_q + adj_f, beta, dims_f, mu_f,
-                q * blk, B,
-            )
-            if cnt:
-                local[q] += cnt
-        for j, a, b in partials:
-            q = j % H
-            B = None if q == H - 1 else (q + 1) * blk
-            local[q] += _count_interval(
-                b - a + 1, b0 + d * a + adj_p, d, dims_p, mu_p,
-                q * blk, B,
-            )
-    else:
-        _kind, origin, c = model
-        M = c * H
-        for q in range(H):
-            j_q = jlo_f + ((q - jlo_f) % H)
-            Mq = 0 if j_q > jhi_f else (jhi_f - j_q) // H + 1
-            g = b0 + d * p * j_q + adj_f - origin - q * c
-            cnt = _count_cyclic(Mq, g, beta, dims_f, mu_f, c, M, memo)
-            if cnt:
-                local[q] += cnt
-        for j, a, b in partials:
-            q = j % H
-            g = b0 + d * a + adj_p - origin - q * c
-            local[q] += _count_cyclic(
-                b - a + 1, g, d, dims_p, mu_p, c, M, memo
-            )
-    if seg.mult != 1:
-        local *= seg.mult
+    big = max(abs(beta), s, p * H, win * H, LOOP_BUDGET)
+    count = max(ihi - ilo + 1, n, LOOP_BUDGET)
+    addr = (max(map(abs, bases)) + abs(d) * (abs(ilo) + abs(ihi) + p)
+            + s * n + win * H)
+    exact = 8 * (big * count + count * count + addr) >= _I64_SAFE
+    dt = object if exact else np.int64
+    b0 = np.array(bases, dtype=dt)[:, None]
+    K = len(bases)
+
+    def counted(pe, cnt, g, step, dims, mu):
+        """Counts of rows ``(base, pe)``, weighted by the multiplicities
+        and summed over bases."""
+        pe, cnt = np.asarray(pe, dtype=dt), np.asarray(cnt, dtype=dt)
+        if K > 1:
+            spread = np.zeros((K, 1), dtype=dt)
+            pe, cnt = (spread + pe).ravel(), (spread + cnt).ravel()
+        g = g.ravel()
+        if kind == "interval":
+            got = _count_interval(cnt, g, step, dims, mu, pe * win,
+                                  (pe + 1) * win, pe == H - 1)
+        else:
+            got = _count_cyclic(cnt, g - pe * win, step, dims, mu, win,
+                                win * H)
+        return (got.reshape(K, -1) * mults).sum(axis=0).astype(np.int64)
+
+    # PE q's first full block is jlo_f + r_q; it has ceil((nfull - r_q)
+    # / H) of them.
+    nfull = max(jhi_f - jlo_f + 1, 0)
+    r_q = (np.arange(H, dtype=np.int64) - jlo_f) % H
+    local += counted(
+        np.arange(H, dtype=np.int64), (nfull - r_q + H - 1) // H,
+        b0 + (d * p * jlo_f + adj_f) + d * p * np.asarray(r_q, dtype=dt),
+        beta,
+        dims_f, mu_f,
+    )
+    if partials:
+        qp = np.array([j % H for j, _a, _b in partials], dtype=np.int64)
+        starts = np.array([a for _j, a, _b in partials], dtype=dt)
+        np.add.at(local, qp, counted(
+            qp, [b - a + 1 for _j, a, b in partials],
+            b0 + d * starts + adj_p, d, dims_p, mu_p,
+        ))
     return local
+
+
+def _count_segments(pairs, ilo: int, ihi: int, p: int, H: int,
+                    obs=None) -> np.ndarray:
+    """Per-PE local counts of ``(segment, layout)`` pairs.
+
+    Pairs with the same :func:`_lattice_row` key are counted together,
+    whichever reference or array they come from (TFFT2's concretised
+    structure loops and the 3-D stencils emit dozens that differ only
+    in base); the rest go through :func:`_count_segment` one by one.  A
+    segment outside the closed form is enumerated, and counted as a
+    fallback on ``obs``.
+    """
+    local = np.zeros(H, dtype=np.int64)
+    groups: dict = {}
+
+    def enumerate_pairs(pairs, reason):
+        for seg, layout in pairs:
+            _note_fallback(obs, f"segment-{reason}")
+            local[:] += _enumerate_segment(seg, ilo, ihi, p, H, layout)
+
+    for seg, layout in pairs:
+        model = None
+        if seg.dpar != 0 and ihi >= ilo:
+            try:
+                model = _resolve(layout, *_seg_span(seg, ilo, ihi), H)
+            except SymbolicMiss:
+                pass
+        if model is not None:
+            key, row = _lattice_row(seg, model)
+            groups.setdefault(key, []).append((row, seg, layout))
+            continue
+        try:
+            local += _count_segment(seg, ilo, ihi, p, H, layout)
+        except SymbolicMiss as miss:
+            enumerate_pairs([(seg, layout)], miss.reason)
+    per = max(1, _VEC_CELLS // (16 * H))
+    for key, group in groups.items():
+        for k in range(0, len(group), per):
+            batch = group[k:k + per]
+            try:
+                local += _count_lattices(
+                    key, [row for row, _s, _l in batch], ilo, ihi, p, H
+                )
+            except SymbolicMiss as miss:
+                enumerate_pairs([(sg, lay) for _r, sg, lay in batch],
+                                miss.reason)
+    return local
+
+
+def _count_segment_model(seg: Segment, ilo: int, ihi: int, p: int,
+                         H: int, model) -> np.ndarray:
+    """Per-PE local counts of one segment under one owner model."""
+    key, row = _lattice_row(seg, model)
+    return _count_lattices(key, [row], ilo, ihi, p, H)
 
 
 def _count_segment(seg: Segment, ilo: int, ihi: int, p: int, H: int,
@@ -743,27 +904,114 @@ def _enumerate_segment(seg: Segment, ilo: int, ihi: int, p: int, H: int,
 
 
 # ---------------------------------------------------------------------------
-# Phase accounting
+# Triangular nests: one row per parallel iteration
 # ---------------------------------------------------------------------------
 
+#: Cap on the parallel trip count counted row by row.
+ROW_BUDGET = 1 << 22
 
-def _collect_refs(par):
-    """(ref, chain) pairs under a parallel root, as the wide tier walks."""
-    from ..ir.core import LoopNode, RefNode
 
-    refs: list = []
+def _iteration_rows(chain, subscript, env: Mapping[str, int],
+                    par_values: np.ndarray):
+    """Per-iteration lattices ``(a, s, n, mu)`` of a reference whose
+    inner bounds move with the parallel index (a triangular nest).
 
-    def walk(node, chain):
-        for child in node.children:
-            if isinstance(child, RefNode):
-                refs.append((child.ref, chain))
-            elif isinstance(child, LoopNode):
-                walk(child, chain + (child,))
-            else:  # pragma: no cover - defensive
-                raise SymbolicMiss("unknown-node")
+    Parallel iteration ``par_values[t]`` touches ``a[t] + s*k`` for
+    ``k < n[t]``, each address ``mu[t]`` times.  Bounds and subscript
+    must be affine in the parallel index (so every column is an
+    arithmetic sequence, read off two scalar evaluations), inner bounds
+    may not depend on other inner indices, and every inner stride must
+    be constant, at most one of them nonzero.  Raises
+    :class:`SymbolicMiss` outside that fragment.
+    """
+    par, inner = chain[0], chain[1:]
+    moving = {loop.index for loop in inner} | {par.index}
+    if par_values.size > ROW_BUDGET:
+        raise _Budget("rows")
+    at = {par.index.name: int(par_values[0])}
+    step = par_values - par_values[0]
 
-    walk(par, (par,))
-    return refs
+    def slope(expr) -> int:
+        """Constant ``expr(i + 1) - expr(i)``, or a miss."""
+        diff = shift_difference(expr, par.index)
+        if diff.free_symbols() & moving:
+            raise SymbolicMiss("par-dependent-bounds")
+        return _ev(diff, env, at)
+
+    rise = slope(subscript)
+    base_at = dict(at)
+    s, n, mu = 0, None, 1
+    for loop in inner:
+        stride = shift_difference(subscript, loop.index)
+        if stride.free_symbols() & moving or any(
+            bound.free_symbols() & (moving - {par.index})
+            for bound in (loop.lower, loop.upper)
+        ):
+            raise SymbolicMiss("par-dependent-bounds")
+        stride = _ev(stride, env)
+        lo0, dlo = _ev(loop.lower, env, at), slope(loop.lower)
+        count = np.maximum(
+            _ev(loop.upper, env, at) - lo0 + 1
+            + (slope(loop.upper) - dlo) * step, 0)
+        base_at[loop.index.name] = lo0
+        rise += stride * dlo
+        if stride == 0:
+            mu = mu * count
+        elif n is None:
+            s, n = stride, count
+        else:
+            raise SymbolicMiss("par-dependent-bounds")
+    a = _ev(subscript, env, base_at) + rise * step
+    if n is None:
+        n = np.ones(par_values.size, dtype=np.int64)
+    if s < 0:
+        a, s = a + s * np.maximum(n - 1, 0), -s
+    return a, s, n, mu * np.ones(par_values.size, dtype=np.int64)
+
+
+def _count_rows(a, s: int, n, mu, pe, H: int, layout) -> np.ndarray:
+    """Per-PE local counts of per-iteration lattices (see
+    :func:`_iteration_rows`) run by PEs ``pe`` under ``layout``."""
+    local = np.zeros(H, dtype=np.int64)
+    live = (n > 0) & (mu > 0)
+    if not live.any():
+        return local
+    a, n, mu, pe = a[live], n[live], mu[live], pe[live]
+    last = a + s * (n - 1)
+    amin, amax = int(a.min()), int(last.max())
+    if max(abs(amin), abs(amax)) >= 1 << 40:
+        raise _Budget("rows")
+    model = _resolve(layout, amin, amax, H)
+    if model[0] == "reversed":
+        _kind, AA, c = model
+        a, model = AA - last, ("cyclic", 0, c)
+    if model[0] == "interval":
+        blk = model[1]
+
+        def below(X):  # #{k < n: a + s*k < X}
+            if s == 0:
+                return np.where(a < X, n, 0)
+            return np.clip(-((a - X) // s), 0, n)
+
+        cnt = (np.where(pe == H - 1, n, below((pe + 1) * blk))
+               - below(pe * blk))
+    else:
+        _kind, origin, c = model
+        M = c * H
+        rho = (a - origin - pe * c) % M
+        if s == 0:
+            cnt = np.where(rho < c, n, 0)
+        else:
+            both = _floor_sum_vec(np.concatenate([n, n]), M, s,
+                                  np.concatenate([rho, rho - c]))
+            cnt = both[:len(rho)] - both[len(rho):]
+    np.add.at(local, pe, mu * np.asarray(cnt, dtype=np.int64))
+    return local
+
+
+# ---------------------------------------------------------------------------
+# Phase accounting
+# ---------------------------------------------------------------------------
 
 
 def _note_fallback(obs, reason: str):
@@ -772,42 +1020,24 @@ def _note_fallback(obs, reason: str):
         obs.count(f"dsm.symbolic.fallback.{reason}")
 
 
-def _enumerate_ref(chain, ref, layout, env, lo: int, hi: int, p: int,
-                   H: int, local: np.ndarray, remote: np.ndarray):
-    """Wide-style ragged enumeration of a single reference (ref fallback).
-
-    Raises ``NestEnumMiss`` when even enumeration cannot handle the
-    nest, which aborts the whole symbolic phase (the caller then falls
-    through to the wide/interp tiers, exactly as wide would)."""
-    from ..ir.interp import NestEnumMiss, NestTooBig, ragged_nest_addresses
-
-    counting_only = layout is None or isinstance(layout, ReplicatedLayout)
-    trip = hi - lo + 1
-    start, block = 0, trip
-    while start < trip:
-        size = min(block, trip - start)
-        vals = np.arange(lo + start, lo + start + size, dtype=np.int64)
-        try:
-            addresses, ordinals = ragged_nest_addresses(
-                chain,
-                None if counting_only else ref.subscript,
-                env,
-                level0_values=vals,
-            )
-        except NestTooBig:
-            if size <= 1:
-                raise NestEnumMiss() from None
-            block = max(size // 2, 1)
-            continue
-        pe = (vals[ordinals] // p) % H
-        if counting_only:
-            local += np.bincount(pe, minlength=H)
+def _rows_counted(chain, subscript, env, par_values, pe_of_iter, H: int,
+                  layout, local: np.ndarray, remote: np.ndarray) -> bool:
+    """Add a triangular reference's counts row by row; False (nothing
+    added) when it is outside :func:`_iteration_rows`' fragment or its
+    layout's closed-form models."""
+    try:
+        a, s, n, mu = _iteration_rows(chain, subscript, env, par_values)
+        total = np.zeros(H, dtype=np.int64)
+        np.add.at(total, pe_of_iter, mu * n)
+        if layout is None or isinstance(layout, ReplicatedLayout):
+            owned = total
         else:
-            owners = np.asarray(layout.owner(addresses), dtype=np.int64)
-            is_local = owners == pe
-            local += np.bincount(pe[is_local], minlength=H)
-            remote += np.bincount(pe[~is_local], minlength=H)
-        start += size
+            owned = _count_rows(a, s, n, mu, pe_of_iter, H, layout)
+    except SymbolicMiss:
+        return False
+    local += owned
+    remote += total - owned
+    return True
 
 
 def symbolic_phase_stats(phase, env: Mapping[str, int], H: int, schedule,
@@ -816,8 +1046,8 @@ def symbolic_phase_stats(phase, env: Mapping[str, int], H: int, schedule,
 
     Returns ``None`` when the phase is outside even the fallback's reach
     (multiple roots, serial root, unevaluable bounds, or a reference
-    that ragged enumeration cannot handle either) — the caller then
-    tries the wide tier, so counts stay exact in every configuration.
+    that ragged enumeration cannot handle either) — exactly where the
+    wide tier gives up too, so the caller interprets the phase.
     """
     from ..ir.interp import NestEnumMiss
 
@@ -826,9 +1056,8 @@ def symbolic_phase_stats(phase, env: Mapping[str, int], H: int, schedule,
     par = phase.roots[0]
     if not par.parallel:
         return None
-    fenv = {k: Fraction(v) for k, v in env.items()}
     try:
-        lo, hi = _ev(par.lower, fenv), _ev(par.upper, fenv)
+        lo, hi = _ev(par.lower, env), _ev(par.upper, env)
     except SymbolicMiss:
         return None
     p = schedule.p
@@ -837,35 +1066,38 @@ def symbolic_phase_stats(phase, env: Mapping[str, int], H: int, schedule,
     if hi < lo:
         return local, remote, np.zeros(H, dtype=np.int64)
     iterations = _iterations_per_pe(lo, hi, p, H)
+    par_values = pe_of_iter = None
+    pairs: list = []  # (segment, layout) of every owner-checked ref
+    per_iter = 0  # their accesses per parallel iteration
 
     try:
-        refs = _collect_refs(par)
-        for ref, chain in refs:
+        for ref, chain in collect_refs(par):
             layout = layouts.get(ref.array.name)
-            counting_only = (
-                layout is None or isinstance(layout, ReplicatedLayout)
-            )
             try:
                 segs = decompose_ref(chain, ref.subscript, env, lo)
             except SymbolicMiss as miss:
+                if pe_of_iter is None:
+                    par_values = np.arange(lo, hi + 1, dtype=np.int64)
+                    pe_of_iter = np.asarray(schedule.owner(par_values),
+                                            dtype=np.int64)
+                if miss.reason == "par-dependent-bounds" and _rows_counted(
+                    chain, ref.subscript, env, par_values, pe_of_iter, H,
+                    layout, local, remote,
+                ):
+                    continue
                 _note_fallback(obs, f"ref-{miss.reason}")
-                _enumerate_ref(chain, ref, layout, env, lo, hi, p, H,
-                               local, remote)
+                enumerate_ref(chain, ref, layout, env, par_values,
+                              pe_of_iter, H, local, remote)
                 continue
-            per_iter = sum(s.n * s.mult for s in segs)
-            if counting_only:
-                local += per_iter * iterations
-                continue
-            seg_local = np.zeros(H, dtype=np.int64)
-            for seg in segs:
-                try:
-                    seg_local += _count_segment(seg, lo, hi, p, H, layout)
-                except SymbolicMiss as miss:
-                    _note_fallback(obs, f"segment-{miss.reason}")
-                    seg_local += _enumerate_segment(seg, lo, hi, p, H,
-                                                    layout)
-            local += seg_local
-            remote += per_iter * iterations - seg_local
+            n_ref = sum(s.n * s.mult for s in segs)
+            if layout is None or isinstance(layout, ReplicatedLayout):
+                local += n_ref * iterations
+            else:
+                per_iter += n_ref
+                pairs.extend((seg, layout) for seg in segs)
+        seg_local = _count_segments(pairs, lo, hi, p, H, obs)
+        local += seg_local
+        remote += per_iter * iterations - seg_local
     except (NestEnumMiss, ValueError, ZeroDivisionError, KeyError):
         return None
     return local, remote, iterations
@@ -892,11 +1124,12 @@ def _region_pieces(phase, env: Mapping[str, int], array):
     par = phase.roots[0]
     if not par.parallel:
         return None
-    fenv = {k: Fraction(v) for k, v in env.items()}
+    from ..ir.interp import NestEnumMiss
+
     try:
-        lo, hi = _ev(par.lower, fenv), _ev(par.upper, fenv)
-        refs = _collect_refs(par)
-    except SymbolicMiss:
+        lo, hi = _ev(par.lower, env), _ev(par.upper, env)
+        refs = collect_refs(par)
+    except (SymbolicMiss, NestEnumMiss):
         return None
     seen: dict = {}
     if hi >= lo:
@@ -1193,7 +1426,7 @@ def symbolic_redistribution(phase, env: Mapping[str, int], array,
     the same puts, in the same lexicographic order, as
     :func:`repro.dsm.comm.aggregate_puts` over the enumerated region.
     """
-    from .comm import CommunicationPlan, PutOperation
+    from .comm import CommunicationPlan, put_list
 
     out = _region_pieces(phase, env, array)
     if out is None:
@@ -1214,11 +1447,6 @@ def symbolic_redistribution(phase, env: Mapping[str, int], array,
     # at H=4096 an all-to-all edge has ~16M puts, and per-element
     # ``int(np.int64)`` casts would dominate the whole tier.
     src, dst = np.nonzero(counts)
-    puts = [
-        PutOperation(source=q, dest=r, elements=c)
-        for q, r, c in zip(
-            src.tolist(), dst.tolist(), counts[src, dst].tolist()
-        )
-    ]
+    puts = put_list(src.tolist(), dst.tolist(), counts[src, dst].tolist())
     return CommunicationPlan(array=array.name, edge=edge, pattern="global",
                              puts=puts)

@@ -20,7 +20,9 @@ latency term ``alpha * messages`` tractable on real machines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import repeat
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,12 +35,16 @@ __all__ = [
     "null_redistribution",
     "aggregate_puts",
     "frontier_update",
+    "put_list",
 ]
 
 
-@dataclass(frozen=True)
-class PutOperation:
-    """One aggregated single-sided transfer."""
+class PutOperation(NamedTuple):
+    """One aggregated single-sided transfer.
+
+    A named tuple: an all-to-all edge at H=128 emits 16k of them, and a
+    tuple builds several times faster than a frozen dataclass.
+    """
 
     source: int
     dest: int
@@ -46,6 +52,16 @@ class PutOperation:
 
     def cost(self, machine: MachineCosts = T3D) -> float:
         return machine.alpha + machine.beta * self.elements
+
+
+def put_list(source: list, dest: list, elements: list) -> list:
+    """Puts from three equal-length lists of ints (source, dest,
+    elements), built without a Python-level call per put."""
+    return list(map(tuple.__new__, repeat(PutOperation),
+                    zip(source, dest, elements)))
+
+
+_ELEMENTS = itemgetter(2)
 
 
 @dataclass
@@ -59,7 +75,7 @@ class CommunicationPlan:
 
     @property
     def volume(self) -> int:
-        return sum(p.elements for p in self.puts)
+        return sum(map(_ELEMENTS, self.puts))
 
     @property
     def messages(self) -> int:
@@ -124,14 +140,8 @@ def aggregate_puts(src: np.ndarray, dst: np.ndarray, base: int) -> list:
     """
     pair = src.astype(np.int64) * base + dst
     uniq, counts = np.unique(pair, return_counts=True)
-    return [
-        PutOperation(
-            source=int(code // base),
-            dest=int(code % base),
-            elements=int(count),
-        )
-        for code, count in zip(uniq, counts)
-    ]
+    source, dest = np.divmod(uniq, base)
+    return put_list(source.tolist(), dest.tolist(), counts.tolist())
 
 
 def null_redistribution(array: str, edge: tuple) -> CommunicationPlan:

@@ -149,18 +149,19 @@ class ExecutionReport:
         )
 
 
-#: The accounting tiers, fastest first: "symbolic" (closed-form
-#: descriptor accounting, falling back to "wide"), "wide"
-#: (descriptor-first ragged enumeration, the default), and "off"
-#: (always interpret).  Every tier falls back to interpretation, so the
-#: counts are identical whichever one answers.
+#: The accounting tiers: "symbolic" (closed-form descriptor accounting,
+#: the default), "wide" (descriptor-first ragged enumeration) and "off"
+#: (always interpret).  "wide" and "off" are the enumeration and
+#: interpreter references the exec oracle checks "symbolic" against.
+#: Every tier falls back to interpretation, so the counts are identical
+#: whichever one answers.
 _TIERS = ("symbolic", "wide", "off")
 
 
 def _resolve_tier(fast_path: Optional[str]) -> str:
-    """``fast_path`` validated; ``None`` means the default ``"wide"``."""
+    """``fast_path`` validated; ``None`` means the default ``"symbolic"``."""
     if fast_path is None:
-        return "wide"
+        return "symbolic"
     if fast_path not in _TIERS:
         raise ValueError(f"unknown fast-path mode {fast_path!r}")
     return fast_path
@@ -177,23 +178,22 @@ def _try_fast_stats(
 ):
     """Vectorised phase accounting, or None to fall back to interpretation.
 
-    Dispatches on the tier ``mode``: the symbolic path counts in closed
-    form and falls back to the wide path, which enumerates the whole
-    nest descriptor-first (handles non-rectangular bounds and ``Pow2``
-    subscripts).
+    Dispatches on the tier ``mode``: ``"symbolic"`` counts in closed
+    form, ``"wide"`` enumerates the whole nest descriptor-first (handles
+    non-rectangular bounds and ``Pow2`` subscripts).  Both give up on
+    the same phases (not exactly one parallel root, unevaluable bounds,
+    a nest ragged enumeration cannot expand), so a symbolic miss goes
+    straight to the interpreter.
     """
+    if mode == "off":
+        return None
     if mode == "symbolic":
         stats = _symbolic_fast_stats(phase, env, H, schedule, layouts,
                                      obs=obs)
-        if stats is not None:
-            if obs is not None:
-                obs.count("dsm.fast_path.symbolic")
-            return stats
-    if mode == "off":
-        return None
-    stats = _wide_fast_stats(phase, env, H, schedule, layouts)
+    else:
+        stats = _wide_fast_stats(phase, env, H, schedule, layouts)
     if stats is not None and obs is not None:
-        obs.count("dsm.fast_path.wide")
+        obs.count(f"dsm.fast_path.{mode}")
     return stats
 
 
@@ -209,7 +209,7 @@ def _symbolic_fast_stats(
     "symbolic" tier): delegates to :mod:`repro.dsm.closed_form`, which
     counts owner/accessor lattice intersections per (base, stride,
     span) segment instead of enumerating addresses.  Returns None when
-    the phase is outside even the per-segment fallback's reach."""
+    the phase is outside even the per-reference fallback's reach."""
     from .closed_form import symbolic_phase_stats
 
     counts = symbolic_phase_stats(phase, env, H, schedule, layouts, obs=obs)
@@ -233,13 +233,9 @@ def _wide_fast_stats(
     Requires a single parallel-rooted nest (so every access attributes
     to a parallel iteration); everything else — multi-level non-
     rectangular bounds, ``2**L`` strides, reversed segments — is handled
-    by :func:`repro.ir.interp.ragged_nest_addresses`, chunked over
-    blocks of parallel iterations with adaptive halving so the live cell
-    count stays bounded.  ``layout.owner`` is applied to whole address
-    blocks at once.
+    reference by reference by :func:`enumerate_ref`.
     """
-    from ..ir.core import LoopNode, RefNode
-    from ..ir.interp import NestEnumMiss, NestTooBig, ragged_nest_addresses
+    from ..ir.interp import NestEnumMiss
 
     if len(phase.roots) != 1:
         return None
@@ -253,8 +249,7 @@ def _wide_fast_stats(
         return None
     local = np.zeros(H, dtype=np.int64)
     remote = np.zeros(H, dtype=np.int64)
-    trip = par_hi - par_lo + 1
-    if trip <= 0:
+    if par_hi < par_lo:
         return PhaseStats(
             phase=phase.name,
             local=local,
@@ -264,57 +259,81 @@ def _wide_fast_stats(
     par_values = np.arange(par_lo, par_hi + 1, dtype=np.int64)
     pe_of_iter = np.asarray(schedule.owner(par_values), dtype=np.int64)
     iterations = np.bincount(pe_of_iter, minlength=H).astype(np.int64)
-
-    refs: list = []
-
-    def collect(node, chain):
-        for child in node.children:
-            if isinstance(child, RefNode):
-                refs.append((child.ref, chain))
-            elif isinstance(child, LoopNode):
-                collect(child, chain + (child,))
-            else:  # pragma: no cover - defensive
-                raise NestEnumMiss()
-
     try:
-        collect(par, (par,))
-        for ref, chain in refs:
-            layout = layouts.get(ref.array.name)
-            counting_only = layout is None or isinstance(
-                layout, ReplicatedLayout
-            )
-            start = 0
-            block = trip
-            while start < trip:
-                size = min(block, trip - start)
-                try:
-                    addresses, ordinals = ragged_nest_addresses(
-                        chain,
-                        None if counting_only else ref.subscript,
-                        env,
-                        level0_values=par_values[start:start + size],
-                    )
-                except NestTooBig:
-                    if size <= 1:
-                        raise NestEnumMiss() from None
-                    block = max(size // 2, 1)
-                    continue
-                pe = pe_of_iter[start + ordinals]
-                if counting_only:
-                    local += np.bincount(pe, minlength=H)
-                else:
-                    owners = np.asarray(
-                        layout.owner(addresses), dtype=np.int64
-                    )
-                    is_local = owners == pe
-                    local += np.bincount(pe[is_local], minlength=H)
-                    remote += np.bincount(pe[~is_local], minlength=H)
-                start += size
+        for ref, chain in collect_refs(par):
+            enumerate_ref(chain, ref, layouts.get(ref.array.name), env,
+                          par_values, pe_of_iter, H, local, remote)
     except (NestEnumMiss, ValueError, ZeroDivisionError, KeyError):
         return None
     return PhaseStats(
         phase=phase.name, local=local, remote=remote, iterations=iterations
     )
+
+
+def collect_refs(par) -> list:
+    """``(ref, chain)`` pairs under a parallel root, in nest order;
+    ``chain`` is ``(par, inner loops...)`` down to the reference.
+    Raises ``NestEnumMiss`` on a node that is neither loop nor ref."""
+    from ..ir.core import LoopNode, RefNode
+    from ..ir.interp import NestEnumMiss
+
+    refs: list = []
+
+    def walk(node, chain):
+        for child in node.children:
+            if isinstance(child, RefNode):
+                refs.append((child.ref, chain))
+            elif isinstance(child, LoopNode):
+                walk(child, chain + (child,))
+            else:  # pragma: no cover - defensive
+                raise NestEnumMiss()
+
+    walk(par, (par,))
+    return refs
+
+
+def enumerate_ref(chain, ref, layout, env: Mapping[str, int],
+                  par_values: np.ndarray, pe_of_iter: np.ndarray, H: int,
+                  local: np.ndarray, remote: np.ndarray) -> None:
+    """Add one reference's per-PE local/remote counts by enumeration.
+
+    The reference's address stream comes from
+    :func:`repro.ir.interp.ragged_nest_addresses`, chunked over blocks
+    of the parallel values ``par_values`` with adaptive halving so the
+    live cell count stays bounded; ``pe_of_iter[t]`` is the PE that runs
+    ``par_values[t]``.  ``layout.owner`` is applied to whole address
+    blocks at once; a missing or replicated layout makes every access
+    local.  Raises ``NestEnumMiss`` when even one parallel iteration
+    cannot be expanded.
+    """
+    from ..ir.interp import NestEnumMiss, NestTooBig, ragged_nest_addresses
+
+    counting_only = layout is None or isinstance(layout, ReplicatedLayout)
+    trip = par_values.size
+    start, block = 0, trip
+    while start < trip:
+        size = min(block, trip - start)
+        try:
+            addresses, ordinals = ragged_nest_addresses(
+                chain,
+                None if counting_only else ref.subscript,
+                env,
+                level0_values=par_values[start:start + size],
+            )
+        except NestTooBig:
+            if size <= 1:
+                raise NestEnumMiss() from None
+            block = max(size // 2, 1)
+            continue
+        pe = pe_of_iter[start + ordinals]
+        if counting_only:
+            local += np.bincount(pe, minlength=H)
+        else:
+            owners = np.asarray(layout.owner(addresses), dtype=np.int64)
+            is_local = owners == pe
+            local += np.bincount(pe[is_local], minlength=H)
+            remote += np.bincount(pe[~is_local], minlength=H)
+        start += size
 
 
 def _phase_stats(
@@ -369,8 +388,8 @@ def execute_static(
 
     Default layouts are BLOCK over each array's full extent — the naive
     baseline a compiler without locality analysis would pick.
-    ``fast_path`` picks the accounting tier: ``"symbolic"``,
-    ``"wide"`` (the default) or ``"off"``.
+    ``fast_path`` picks the accounting tier: ``"symbolic"`` (the
+    default), ``"wide"`` or ``"off"``.
     """
     fast_path = _resolve_tier(fast_path)
     if layouts is None:
@@ -549,8 +568,8 @@ def execute_with_plan(
 ) -> ExecutionReport:
     """LCG-driven execution: chain layouts + explicit C-edge communication.
 
-    ``fast_path`` picks the accounting tier: ``"symbolic"``,
-    ``"wide"`` (the default) or ``"off"``.
+    ``fast_path`` picks the accounting tier: ``"symbolic"`` (the
+    default), ``"wide"`` or ``"off"``.
     """
     from ..ir.interp import phase_access_set
 

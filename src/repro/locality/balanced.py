@@ -27,10 +27,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Union
 
 from .. import memo
 from ..symbolic import (
+    BoxSolution,
     CeilDiv,
     Context,
     DiophantineSolution,
@@ -189,7 +190,7 @@ class BalancedCondition:
 
     def solve_concrete(
         self, env: Mapping[str, int], H: int
-    ) -> DiophantineSolution:
+    ) -> Union[DiophantineSolution, BoxSolution]:
         """Decide the condition exactly for one parameter binding.
 
         With ``shift == 0`` every boxed Diophantine solution is returned
@@ -223,6 +224,16 @@ class BalancedCondition:
         xmax = -(-trip_k // H)
         ymax = -(-trip_g // H)
         if c == 0:
+            # a*x = b*y with x, y >= 1, as in check_symbolic: two
+            # invariant sides balance at every chunk pair, a moving side
+            # never balances an invariant one or one moving the other
+            # way, and two descending sides balance like ascending ones.
+            if a == 0 and b == 0:
+                return BoxSolution(xmax=xmax, ymax=ymax)
+            if a < 0 and b < 0:
+                a, b = -a, -b
+            if a <= 0 or b <= 0:
+                return DiophantineSolution(0, 0, 0, 0, 0)
             return solve_linear_diophantine(a, b, c, xmax=xmax, ymax=ymax)
         if a * trip_k - b * trip_g == c and trip_k <= xmax and trip_g <= ymax:
             return DiophantineSolution(

@@ -7,7 +7,7 @@ embedding the analysis cannot scope a setting to one call — so the
 knobs now travel explicitly: build a frozen :class:`AnalysisOptions`
 and pass it to :func:`repro.analyze`.  This is the *only* configuration
 surface — the deprecated ``set_*`` shims were removed in PR 8.  An
-option left at ``None`` means its fixed built-in default (the wide
+option left at ``None`` means its fixed built-in default (the symbolic
 executor tier, refutation on, the process-global analysis cache), which
 no code can move.
 
@@ -156,11 +156,12 @@ class AnalysisOptions:
         sampled disproof of ``is_nonneg`` queries (bool; ``None`` is on).
     dsm_fast_path:
         executor accounting tier: ``"symbolic"`` (closed-form
-        descriptor arithmetic, O(descriptors) instead of O(addresses)),
-        ``"wide"`` (descriptor-first ragged enumeration; ``None`` means
-        this tier) or ``"off"`` (always interpret).  Each tier falls
-        back to the next on anything outside its fragment, so counts
-        are identical across tiers.
+        descriptor arithmetic, O(descriptors) instead of O(addresses);
+        ``None`` means this tier), ``"wide"`` (descriptor-first ragged
+        enumeration) or ``"off"`` (always interpret).  ``"wide"`` and
+        ``"off"`` are the references the symbolic tier is checked
+        against.  A fast tier interprets any phase outside its
+        fragment, so counts are identical across tiers.
     machine_alpha / machine_beta:
         Eq. 7 machine-cost overrides: per-message latency and
         per-element bandwidth in units of one local access.  ``None``

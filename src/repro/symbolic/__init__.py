@@ -46,6 +46,7 @@ from .compile import CompiledExpr, UncompilableExpr, compile_expr
 from .context import Context, LoopVar
 from .linear import (
     AffineForm,
+    BoxSolution,
     DiophantineSolution,
     affine_coefficients,
     solve_linear_diophantine,
@@ -60,6 +61,7 @@ __all__ = [
     "CeilDiv",
     "CompiledExpr",
     "Context",
+    "BoxSolution",
     "DiophantineSolution",
     "Expr",
     "FloorDiv",

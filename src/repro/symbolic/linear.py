@@ -23,6 +23,7 @@ from .expr import Expr, ExprLike, Mul, Num, Symbol, ZERO, as_expr
 __all__ = [
     "affine_coefficients",
     "AffineForm",
+    "BoxSolution",
     "DiophantineSolution",
     "solve_linear_diophantine",
 ]
@@ -128,6 +129,36 @@ class DiophantineSolution:
         if not self.feasible:
             return None
         return (self.x0, self.y0)
+
+
+@dataclass(frozen=True)
+class BoxSolution:
+    """Every pair ``1 <= x <= xmax, 1 <= y <= ymax``: the solution set of
+    the trivial equation ``0*x - 0*y = 0``.
+
+    Quacks like :class:`DiophantineSolution` (``count``, ``feasible``,
+    ``smallest``, iteration), though the set is a box, not a progression.
+    """
+
+    xmax: int
+    ymax: int
+
+    @property
+    def count(self) -> int:
+        return max(self.xmax, 0) * max(self.ymax, 0)
+
+    def __iter__(self):
+        for x in range(1, self.xmax + 1):
+            for y in range(1, self.ymax + 1):
+                yield (x, y)
+
+    @property
+    def feasible(self) -> bool:
+        return self.count > 0
+
+    def smallest(self) -> Optional[tuple[int, int]]:
+        """The solution with the smallest chunk sizes, ``(1, 1)``."""
+        return (1, 1) if self.feasible else None
 
 
 def solve_linear_diophantine(

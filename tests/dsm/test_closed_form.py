@@ -10,7 +10,9 @@ from repro.dsm.closed_form import (
     Segment,
     SymbolicMiss,
     _count_segment,
+    _count_segments,
     _enumerate_segment,
+    _floor_sum_vec,
     _iterations_per_pe,
     _sum_clamp_floor,
     floor_sum,
@@ -34,17 +36,35 @@ def test_floor_sum_matches_brute_force():
 
 
 def test_sum_clamp_floor_matches_brute_force():
-    for M in (0, 1, 3, 8):
-        for g in (-5, 0, 4, 17):
-            for d in (-6, -1, 0, 2, 5):
-                for s in (1, 3, 7):
-                    for nu in (0, 1, 2, 6):
-                        want = sum(
-                            min(max((g + d * m) // s, 0), nu)
-                            for m in range(M)
-                        )
-                        got = _sum_clamp_floor(M, g, d, s, nu)
-                        assert got == want, (M, g, d, s, nu)
+    Ms, gs = np.meshgrid([0, 1, 3, 8], [-5, 0, 4, 17])
+    Ms, gs = Ms.ravel(), gs.ravel()
+    for d in (-6, -1, 0, 2, 5):
+        for s in (1, 3, 7):
+            for nu in (0, 1, 2, 6):
+                want = [
+                    sum(min(max((g + d * m) // s, 0), nu) for m in range(M))
+                    for M, g in zip(Ms.tolist(), gs.tolist())
+                ]
+                got = _sum_clamp_floor(Ms, gs, d, s, nu)
+                assert list(got) == want, (d, s, nu)
+
+
+def test_floor_sum_vec_matches_scalar_and_promotes_on_overflow():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m = int(rng.integers(1, 30))
+        a = int(rng.integers(-50, 50))
+        n = rng.integers(-2, 40, size=20)
+        b = rng.integers(-100, 100, size=20)
+        want = [floor_sum(x, m, a, y) for x, y in zip(n.tolist(), b.tolist())]
+        assert list(_floor_sum_vec(n, m, a, b)) == want, (m, a)
+    # n*n*a passes 2**62: the rows fall back to Python ints, exactly.
+    n = np.full(10, 3_000_000_000, dtype=np.int64)
+    b = np.arange(-5, 5, dtype=np.int64)
+    got = _floor_sum_vec(n, 7, 10**9, b)
+    assert got.dtype == object
+    assert list(got) == [floor_sum(3_000_000_000, 7, 10**9, y)
+                         for y in range(-5, 5)]
 
 
 def test_iterations_per_pe_matches_bincount():
@@ -149,6 +169,55 @@ def test_segmented_layout_split_counting():
     _assert_counts_match(seg, 0, 60, 3, H, layout)
 
 
+def test_counts_past_int64_headroom_are_exact():
+    """Addresses near 2**60 push the vectorised rows onto Python ints;
+    the counts must still equal enumeration."""
+    cases = [
+        (Segment(base=2**60 + 3, dpar=7, s=2, n=5, mult=2),
+         BlockCyclicLayout(origin=2**60, chunk=5, H=4)),
+        (Segment(base=2**60 + 3, dpar=-7, s=3, n=4, mult=1),
+         BlockCyclicLayout(origin=2**60 - 1000, chunk=3, H=4)),
+        (Segment(base=2**60 + 3, dpar=2**40, s=1, n=9, mult=1),
+         BlockLayout(size=2**62, H=4)),
+        (Segment(base=3, dpar=2**50, s=2**48, n=9, mult=1),
+         BlockLayout(size=2**62, H=4)),
+    ]
+    for seg, layout in cases:
+        _assert_counts_match(seg, 0, 100, 3, 4, layout)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_segments_match_enumeration(seed):
+    """Segments of several references and layouts, counted in shared
+    batches over every PE, equal per-segment enumeration."""
+    rng = np.random.default_rng(seed)
+    H = int(rng.choice([3, 16, 40]))
+    p = int(rng.integers(1, 5))
+    layouts = [
+        BlockLayout(size=4096, H=H),
+        BlockCyclicLayout(origin=0, chunk=int(rng.integers(1, 9)), H=H),
+        BlockCyclicLayout(origin=int(rng.integers(1, 50)),
+                          chunk=int(rng.integers(1, 9)), H=H),
+        BlockCyclicLayout(origin=0, chunk=int(rng.integers(1, 9)), H=H,
+                          span=4096, reversed_=True),
+    ]
+    pairs = []
+    for _ in range(12):
+        seg = Segment(
+            base=int(rng.integers(60, 400)),
+            dpar=int(rng.choice([-2, -1, 1, 2, 3])),
+            s=int(rng.choice([1, 2, 5])),
+            n=int(rng.integers(1, 6)),
+            mult=int(rng.integers(1, 3)),
+        )
+        pairs.append((seg, layouts[int(rng.integers(len(layouts)))]))
+    pairs += pairs[:3]  # equal bases of different references merge
+    got = _count_segments(pairs, 0, 50, p, H)
+    want = sum(_enumerate_segment(seg, 0, 50, p, H, layout)
+               for seg, layout in pairs)
+    assert np.array_equal(got, want)
+
+
 def _symbolic_vs_generic(prog, env, H, p, layouts, obs=None):
     import repro.dsm.executor as executor_mod
     from fractions import Fraction
@@ -197,10 +266,11 @@ def test_par_dependent_stride_concretized_exactly():
     assert not any(k.startswith("dsm.symbolic.fallback") for k in counters)
 
 
-def test_triangular_bounds_trigger_observable_fallback():
+def test_triangular_bounds_counted_per_iteration():
     """Inner bounds depending on the parallel index are outside the
-    lattice model; the ref must fall back to ragged enumeration,
-    visibly, and still agree with the generic interpreter."""
+    lattice model, so the ref is counted one row per parallel iteration
+    in closed form — no fallback — and agrees with the generic
+    interpreter."""
     from repro.ir import ProgramBuilder
     from repro.obs import Collector
 
@@ -216,9 +286,65 @@ def test_triangular_bounds_trigger_observable_fallback():
     layouts = {"A": BlockCyclicLayout(origin=0, chunk=4, H=4)}
     _symbolic_vs_generic(prog, {"N": 16}, 4, 2, layouts, obs=obs)
     counters = obs.metrics_snapshot()["counters"]
+    assert not any(k.startswith("dsm.symbolic.fallback") for k in counters)
+
+
+def test_triangular_nest_outside_row_fragment_falls_back_observably():
+    """An inner bound that also moves with another inner index leaves
+    no rectangular row per iteration: the ref falls back to ragged
+    enumeration, visibly, and still agrees with the interpreter."""
+    from repro.ir import ProgramBuilder
+    from repro.obs import Collector
+
+    bld = ProgramBuilder("skewed")
+    N = bld.param("N", minimum=8)
+    A = bld.array("A", 4 * N)
+    with bld.phase("F") as ph:
+        with ph.doall("i", 0, N - 1) as i:
+            with ph.do("j", 0, i) as j:
+                with ph.do("k", j, j + 2) as k:
+                    ph.read(A, i + j + k)
+    prog = bld.build()
+    obs = Collector(metrics=True)
+    layouts = {"A": BlockLayout(size=4 * 16, H=4)}
+    _symbolic_vs_generic(prog, {"N": 16}, 4, 2, layouts, obs=obs)
+    counters = obs.metrics_snapshot()["counters"]
     assert (
         counters.get("dsm.symbolic.fallback.ref-par-dependent-bounds") == 1
     )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_triangular_nests_match_interpreter(seed):
+    from repro.ir import ProgramBuilder
+    from repro.symbolic import sym
+
+    rng = np.random.default_rng(seed)
+    n_val = int(rng.integers(9, 40))
+    H = int(rng.choice([3, 4, 7]))
+    i_sym, N = sym("i"), sym("N")
+    lower, upper = [
+        (0, i_sym), (i_sym, N - 1), (1, N - 1 - i_sym), (i_sym, i_sym + 3),
+    ][int(rng.integers(4))]
+    stride = int(rng.choice([-3, -1, 1, 2, 5]))
+    bld = ProgramBuilder(f"tri{seed}")
+    bld.param("N", minimum=8)
+    A = bld.array("A", 16 * N + 64)
+    with bld.phase("F") as ph:
+        with ph.doall("i", 0, N - 1) as i:
+            with ph.do("j", lower, upper) as j:
+                ph.read(A, 2 * i + stride * j + 4 * N)
+                ph.write(A, 3 * i + 1)
+    prog = bld.build()
+    size = 16 * n_val + 64
+    layouts = {"A": [
+        BlockLayout(size=size, H=H),
+        BlockCyclicLayout(origin=0, chunk=int(rng.integers(1, 9)), H=H),
+        BlockCyclicLayout(origin=0, chunk=int(rng.integers(1, 9)), H=H,
+                          span=size, reversed_=True),
+    ][seed % 3]}
+    _symbolic_vs_generic(prog, {"N": n_val}, H, int(rng.integers(1, 4)),
+                         layouts)
 
 
 # ---------------------------------------------------------------------------

@@ -273,16 +273,16 @@ class TestConfigurationSurface:
             with pytest.raises(ValueError, match="unknown fast-path"):
                 execute_static(program, env, 4, fast_path=tier)
 
-    def test_option_none_means_wide_tier(self):
+    def test_option_none_means_symbolic_tier(self):
         program, env = _small_program()
         clear_caches()
         result = analyze(
             program, env=env, H=4, options=AnalysisOptions(metrics=True)
         )
         c = result.metrics["counters"]
-        assert c.get("dsm.fast_path.wide", 0) > 0
+        assert c.get("dsm.fast_path.symbolic", 0) > 0
         assert c.get("dsm.fast_path.interp", 0) == 0
-        assert c.get("dsm.fast_path.symbolic", 0) == 0
+        assert c.get("dsm.fast_path.wide", 0) == 0
 
 
 from hypothesis import given, settings
