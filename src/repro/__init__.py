@@ -108,7 +108,12 @@ def analyze(
     from .locality import build_lcg
     from .locality.engine import AnalysisCache
     from .locality.intra import check_intra_phase
-    from .distribution import T3D, extract_constraints, solve_enumerative
+    from .distribution import (
+        T3D,
+        constraint_system,
+        extract_constraints,
+        solve_enumerative,
+    )
     from .dsm import execute_with_plan
     from .obs import obs_span
     from .plan import (
@@ -223,7 +228,9 @@ def analyze(
             if cache_path is not None:
                 cache_arg.save(cache_path)
             with obs_span(obs, "constraints"):
-                constraints = extract_constraints(lcg)
+                constraints = constraint_system(
+                    lcg, extract=extract_constraints
+                )
             machine = T3D
             if (
                 opts.machine_alpha is not None

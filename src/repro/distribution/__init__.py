@@ -6,6 +6,7 @@ from .constraints import (
     LoadBalanceConstraint,
     LocalityConstraint,
     StorageConstraint,
+    constraint_system,
     extract_constraints,
 )
 from .costs import (
@@ -51,6 +52,7 @@ __all__ = [
     "TermMemo",
     "VariableComponent",
     "communication_cost",
+    "constraint_system",
     "edge_volume",
     "extract_constraints",
     "imbalance_cost",

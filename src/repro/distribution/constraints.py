@@ -15,6 +15,13 @@ phase's parallel loop — and four constraint families:
   descending fronts must not cross the mirror midpoint).
 * **Affinity constraints** — ``p_k,j1 = p_k,j2``: a phase has a single
   parallel loop, so its chunk size is shared by every array it touches.
+
+The system is symbolic in every program parameter and in ``H``, so it
+is derived once per labelled LCG: :func:`constraint_system` answers a
+repeat (another machine size, cost model or chunk clamp of the same
+program) from the ``constraints`` memo bank, and only Eq. 7 is
+re-solved.  :func:`extract_constraints` stays the pure derivation the
+bank is checked against.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from .. import memo
+from ..descriptors.fingerprint import program_fingerprint
 from ..symbolic import Context, Expr, Symbol, as_expr, ceil_div, sym
 from ..locality.lcg import LCG
 from ..locality.intra import check_intra_phase
@@ -33,8 +42,14 @@ __all__ = [
     "StorageConstraint",
     "AffinityConstraint",
     "ConstraintSystem",
+    "constraint_system",
     "extract_constraints",
 ]
+
+#: Extracted systems by :func:`system_key`.  A value holds the five
+#: families and the overlaps, never the LCG: a hit is rebuilt around
+#: the caller's LCG, so the bank keeps no program alive.
+_SYSTEMS = memo.register("constraints", 1 << 10)
 
 
 @dataclass(frozen=True)
@@ -234,3 +249,80 @@ def extract_constraints(lcg: LCG) -> ConstraintSystem:
             )
 
     return system
+
+
+def _bal_key(value):
+    # Balanced slopes/shift are ``None`` on a non-affine condition.
+    return value._key() if isinstance(value, Expr) else value
+
+
+def system_key(lcg: LCG) -> tuple:
+    """Everything :func:`extract_constraints` reads off ``lcg``.
+
+    The program's names and per-(phase, array) structure (context
+    included), the variable naming (it follows array first-use order,
+    which the per-phase fingerprints alone do not fix), and every live
+    edge's label with the balanced condition of its ``L`` edges.  The
+    key is built of structural value tuples, so it is stable across
+    processes and survives the plan bundle's pickle.
+    """
+    edges = []
+    for array in lcg.arrays():
+        for edge in lcg.edges(array):
+            bal = edge.balanced
+            if edge.label != "L" or bal is None:
+                cond = None
+            else:
+                cond = (
+                    bal.affine,
+                    _bal_key(bal.slope_k),
+                    _bal_key(bal.slope_g),
+                    _bal_key(bal.shift),
+                )
+            edges.append(
+                (array, edge.phase_k, edge.phase_g, edge.label, cond)
+            )
+    return (
+        "cs1",
+        program_fingerprint(lcg.program),
+        tuple(lcg.p_names.items()),
+        tuple(edges),
+    )
+
+
+def constraint_system(
+    lcg: LCG, extract=extract_constraints
+) -> ConstraintSystem:
+    """The constraint system of ``lcg``, derived at most once per key.
+
+    A miss runs ``extract`` (the pure :func:`extract_constraints`;
+    ``analyze`` passes the name it resolves through the package, like
+    every stage it calls) and banks the families; a hit rebuilds the
+    system around ``lcg`` from them.
+    """
+    key = system_key(lcg)
+    hit = _SYSTEMS.get(key)
+    if hit is None:
+        system = extract(lcg)
+        _SYSTEMS.put(
+            key,
+            (
+                tuple(system.variables.items()),
+                tuple(system.locality),
+                tuple(system.load_balance),
+                tuple(system.storage),
+                tuple(system.affinity),
+                tuple(system.overlaps.items()),
+            ),
+        )
+        return system
+    variables, locality, load_balance, storage, affinity, overlaps = hit
+    return ConstraintSystem(
+        lcg=lcg,
+        variables=dict(variables),
+        locality=list(locality),
+        load_balance=list(load_balance),
+        storage=list(storage),
+        affinity=list(affinity),
+        overlaps=dict(overlaps),
+    )

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf, lcm
 from typing import Mapping, Optional
 
 import numpy as np
@@ -71,7 +72,7 @@ class TermMemo:
 
     Two levels, both keyed on plain evaluated integers/floats so hits
     return the *identical* floats a cold evaluation produces (the
-    accumulation order in :func:`_component_cost` is unchanged, so a
+    accumulation order in :func:`_cost_at` is unchanged, so a
     memoized solve is bit-identical to a fresh one):
 
     * ``component`` — a whole component's argmin: structural key
@@ -159,12 +160,27 @@ class _AffineUnionFind:
         return True
 
 
+def _integer_relation(a: Fraction, b: Fraction) -> tuple:
+    """``p = a*t + b`` as ``(a*d, b*d, d)`` over the common denominator."""
+    d = lcm(a.denominator, b.denominator)
+    return (
+        a.numerator * (d // a.denominator),
+        b.numerator * (d // b.denominator),
+        d,
+    )
+
+
 @dataclass
 class VariableComponent:
-    """One connected set of p-variables sharing the parameter ``t``."""
+    """One connected set of p-variables sharing the parameter ``t``.
+
+    ``members`` maps each variable to its relation ``p = (A*t + B) / d``
+    as the integers ``(A, B, d)`` with ``d >= 1``, so enumerating
+    candidates takes no rational arithmetic.
+    """
 
     root: str
-    members: dict  # var -> (a: Fraction, b: Fraction): p = a*t + b
+    members: dict  # var -> (A, B, d): p = (A*t + B) / d
     t_min: int
     t_max: int
     pinned: Optional[int] = None  # inconsistent union resolved to fixed t
@@ -173,11 +189,11 @@ class VariableComponent:
     def values_for(self, t: int) -> Optional[dict]:
         """All member p values at parameter ``t`` (None if non-integral)."""
         out = {}
-        for var, (a, b) in self.members.items():
-            val = a * t + b
-            if val.denominator != 1 or val < 1:
+        for var, (A, B, d) in self.members.items():
+            p, rem = divmod(A * t + B, d)
+            if rem or p < 1:
                 return None
-            out[var] = int(val)
+            out[var] = p
         return out
 
     def feasible_ts(self, limit: int = 100_000) -> list:
@@ -308,23 +324,23 @@ def reduce_system(
     groups: dict[str, dict] = {}
     for var in system.variables:
         root, a, b = uf.find(var)
-        groups.setdefault(root, {})[var] = (a, b)
+        groups.setdefault(root, {})[var] = _integer_relation(a, b)
 
     components = []
     for root, members in groups.items():
         t_lo, t_hi = 1, 1 << 60
-        for var, (a, b) in members.items():
+        for var, (A, B, d) in members.items():
             ub_v = ub.get(var, 1 << 60)
             lb_v = lb.get(var, 1)
-            # lb_v <= a*t + b <= ub_v, with a possibly negative
-            if a > 0:
-                t_lo = max(t_lo, _ceil_frac(Fraction(lb_v) - b, a))
-                t_hi = min(t_hi, _floor_frac(Fraction(ub_v) - b, a))
-            elif a < 0:
-                t_lo = max(t_lo, _ceil_frac(Fraction(ub_v) - b, a))
-                t_hi = min(t_hi, _floor_frac(Fraction(lb_v) - b, a))
+            # lb_v <= (A*t + B)/d <= ub_v, with A possibly negative
+            if A > 0:
+                t_lo = max(t_lo, -((B - lb_v * d) // A))
+                t_hi = min(t_hi, (ub_v * d - B) // A)
+            elif A < 0:
+                t_lo = max(t_lo, -((B - ub_v * d) // A))
+                t_hi = min(t_hi, (lb_v * d - B) // A)
             else:
-                if not (lb_v <= b <= ub_v):
+                if not (lb_v * d <= B <= ub_v * d):
                     t_hi = 0  # infeasible
         comp = VariableComponent(
             root=root, members=members, t_min=t_lo, t_max=min(t_hi, 1 << 31)
@@ -338,16 +354,6 @@ def reduce_system(
                 comp.pinned = pv
         components.append(comp)
     return components
-
-
-def _ceil_frac(num: Fraction, den: Fraction) -> int:
-    q = num / den
-    return -int((-q.numerator) // q.denominator) if q.denominator else int(q)
-
-
-def _floor_frac(num: Fraction, den: Fraction) -> int:
-    q = num / den
-    return int(q.numerator // q.denominator)
 
 
 def _var_inputs(system, var, env, work, trips):
@@ -401,60 +407,52 @@ def _var_term(trip, wk, width, p, H, machine, memo=None):
     return pair
 
 
-def _component_cost(
-    system: ConstraintSystem,
-    comp: VariableComponent,
-    t: int,
-    env: Mapping[str, int],
-    H: int,
-    machine: MachineCosts,
-    work: Mapping[str, float],
-    trips: Optional[Mapping] = None,
-    memo: Optional[TermMemo] = None,
-) -> Optional[float]:
-    """Eq. 7 objective restricted to one component.
+def _component_rows(system, comp, env, work, trips) -> list:
+    """``(var, A, B, d, inputs)`` per member, inputs evaluated once.
+
+    ``inputs`` is :func:`_var_inputs` of the member; every candidate
+    ``t`` of the component reuses it.
+    """
+    return [
+        (var, A, B, d, _var_inputs(system, var, env, work, trips))
+        for var, (A, B, d) in comp.members.items()
+    ]
+
+
+def _cost_at(rows, t, H, machine, memo=None) -> float:
+    """Eq. 7 objective of one component at a feasible ``t``.
 
     D^k — CYCLIC(p) idle-cycle imbalance — plus the p-dependent slice of
     C^kg: frontier/halo traffic, which pays ``beta * Δs`` per block
     boundary (``ceil(trip/p)`` boundaries), so larger chunks trade load
     balance against halo volume exactly as the paper's model does.
-
-    ``trips`` (var -> load-balance constraint) can be hoisted by callers
-    enumerating many ``t`` per system; it is derived when omitted.
+    Terms are summed in member order, so the float is the same however
+    often, and from whichever memo, it is produced.
     """
-    values = comp.values_for(t)
-    if values is None:
-        return None
     total = 0.0
-    if trips is None:
-        trips = {c.var: c for c in system.load_balance}
-    for var, p in values.items():
-        inputs = _var_inputs(system, var, env, work, trips)
+    for _var, A, B, d, inputs in rows:
         if inputs is None:
             continue
         trip, wk, width = inputs
-        imb, comm = _var_term(trip, wk, width, p, H, machine, memo=memo)
+        imb, comm = _var_term(
+            trip, wk, width, (A * t + B) // d, H, machine, memo=memo
+        )
         total += imb
         if comm is not None:
             total += comm
     return total
 
 
-def _component_key(system, comp, ts, env, H, machine, work, trips):
+def _component_key(rows, ts, H, machine):
     """A structural memo key capturing every input of a component argmin.
 
     Two solves agreeing on this key (members with their affine
-    relations, the candidate ``t`` list, evaluated trips/halo widths,
-    work weights, ``H`` and the machine coefficients) evaluate the
-    identical cost function over the identical candidates, so caching
-    ``(best_t, best_cost)`` under it is exact.
+    relations and evaluated trips/halo widths/work weights, the
+    candidate ``t`` list, ``H`` and the machine coefficients) evaluate
+    the identical cost function over the identical candidates, so
+    caching ``(best_t, best_cost)`` under it is exact.
     """
-    sig = []
-    for var in sorted(comp.members):
-        a, b = comp.members[var]
-        inputs = _var_inputs(system, var, env, work, trips)
-        sig.append((var, a, b, inputs))
-    return (tuple(sig), tuple(ts), H, machine.alpha, machine.beta)
+    return (tuple(sorted(rows)), tuple(ts), H, machine.alpha, machine.beta)
 
 
 def solve_enumerative(
@@ -478,7 +476,10 @@ def solve_enumerative(
     and sweeps — hits skip a component's candidate enumeration entirely
     and are bit-identical to evaluating it.
 
-    When the full system is infeasible, locality constraints are relaxed
+    A locality constraint whose ``p_k`` slope is zero under ``env``
+    cannot tie ``p_k`` to ``p_g`` (see :func:`_unsolvable_locality`);
+    its L edge is demoted before the first reduction.  When the full
+    system is infeasible, locality constraints are relaxed
     one at a time (greedy, largest-slope-ratio first — the tightest
     coupling is the likeliest culprit) and the affected L edge is
     demoted to communication; relaxations are reported in
@@ -493,7 +494,9 @@ def solve_enumerative(
     """
     obs = getattr(system.lcg.program.context, "obs", None)
     work = dict(work or {})
-    relaxed: set = set()
+    relaxed = _unsolvable_locality(system, env)
+    if obs is not None and relaxed:
+        obs.count("ilp.zero_slope_relaxations", len(relaxed))
     relaxed_storage: set = set()
     while True:
         components = reduce_system(
@@ -538,11 +541,10 @@ def solve_enumerative(
         if obs is not None:
             obs.count("ilp.components")
         ts = comp.feasible_ts()
+        rows = _component_rows(system, comp, env, work, trips)
         mkey = None
         if memo is not None:
-            mkey = _component_key(
-                system, comp, ts, env, H, machine, work, trips
-            )
+            mkey = _component_key(rows, ts, H, machine)
             hit = memo.component.get(mkey)
             if hit is not None:
                 best_t, best_cost = hit
@@ -558,12 +560,7 @@ def solve_enumerative(
                 obs.count("ilp.candidates", len(ts))
             best_t, best_cost = None, None
             for t in ts:
-                cost = _component_cost(
-                    system, comp, t, env, H, machine, work, trips=trips,
-                    memo=memo,
-                )
-                if cost is None:
-                    continue
+                cost = _cost_at(rows, t, H, machine, memo=memo)
                 if best_cost is None or cost < best_cost:
                     best_t, best_cost = t, cost
             values = comp.values_for(best_t)
@@ -648,6 +645,22 @@ def objective_breakdown(
     }
 
 
+def _unsolvable_locality(system: ConstraintSystem, env) -> set:
+    """Keys of locality constraints with a zero ``p_k`` slope under ``env``.
+
+    ``0*p_k = a_g*p_g + shift`` does not express ``p_k`` through
+    ``p_g``.  Two zero slopes (two chunk-invariant balanced rows) hold
+    at every chunk pair, yet independent chunks do not keep the edge's
+    data local, so the edge is demoted to communication like any other
+    relaxed L edge rather than dropped from the system.
+    """
+    return {
+        (c.edge[0], c.edge[1], c.array)
+        for c in system.locality
+        if _ev(c.slope_k, env) == 0
+    }
+
+
 def _pick_relaxation(
     system: ConstraintSystem,
     env: Mapping[str, int],
@@ -673,7 +686,8 @@ def _pick_relaxation(
             continue
         a_k = _ev(c.slope_k, env)
         a_g = _ev(c.slope_g, env)
-        ratio = max(a_k / a_g, a_g / a_k)
+        # A zero slope pins its chunk outright: the steepest coupling.
+        ratio = max(a_k / a_g, a_g / a_k) if a_k and a_g else inf
         if best_ratio is None or ratio > best_ratio:
             best, best_ratio = key, ratio
     return best
@@ -726,19 +740,18 @@ def solve_milp(
     from scipy.optimize import Bounds
 
     work = dict(work or {})
-    components = reduce_system(system, env, H)
+    components = reduce_system(
+        system, env, H, skip_locality=_unsolvable_locality(system, env)
+    )
     choices: list[tuple] = []  # (component index, t, cost)
     trips = {c.var: c for c in system.load_balance}
     for ci, comp in enumerate(components):
         ts = comp.feasible_ts()
         if not ts:
             raise ValueError(f"infeasible component rooted at {comp.root}")
+        rows = _component_rows(system, comp, env, work, trips)
         for t in ts:
-            cost = _component_cost(
-                system, comp, t, env, H, machine, work, trips=trips
-            )
-            if cost is not None:
-                choices.append((ci, t, cost))
+            choices.append((ci, t, _cost_at(rows, t, H, machine)))
 
     n = len(choices)
     # Small t-proportional epsilon so ties break toward the smallest

@@ -96,6 +96,7 @@ def _print_sweep(out) -> None:
     print(
         f"reuse: {reuse['edges_reused']} edges from cache, "
         f"{reuse['edges_recomputed']} recomputed; "
+        f"{reuse['constraints_reused']} constraint systems from the bank, "
         f"{reuse['ilp_component_memo_hits']} ILP components from memo"
     )
 

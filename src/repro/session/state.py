@@ -9,6 +9,14 @@ so that edits and what-if sweeps pay only for what actually changed:
 * a :class:`repro.distribution.TermMemo` memoizing Eq. 7 component
   argmins and per-variable (imbalance, frontier-comm) terms.
 
+The Table 2 constraint system itself lives in the process-wide
+``constraints`` memo bank (:func:`repro.distribution.constraint_system`):
+it is keyed on the labelled LCG, so a parameter edit that moves no
+label (machine coefficients, chunk clamps, most ``H`` and env values)
+re-solves only Eq. 7, in integer arithmetic, over a system derived
+once.  The
+``reuse`` block's ``constraints_reused`` counts those bank hits.
+
 Every re-solve goes through :func:`repro.analyze` with the warm cache
 and memo attached — the session never forks the analysis code path, so
 an incremental result is byte-identical to a fresh ``analyze()`` at the
@@ -239,6 +247,7 @@ class Session:
             "edges_recomputed": counters.get(
                 "analysis_cache.edge_misses", 0
             ),
+            "constraints_reused": counters.get("memo.constraints.hits", 0),
             "ilp_component_memo_hits": counters.get(
                 "ilp.component_memo_hits", 0
             ),

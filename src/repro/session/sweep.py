@@ -178,7 +178,7 @@ def run_sweep(
 
     memo_before = session.memo.stats()
     points = []
-    edges_reused = edges_recomputed = 0
+    edges_reused = edges_recomputed = constraints_reused = 0
     for combo in itertools.product(*(grid[k] for k in keys)):
         env, H, alpha, beta, bounds = _point_params(session, keys, combo)
         params = dict(zip(keys, combo))
@@ -192,6 +192,7 @@ def run_sweep(
         doc = solved["document"]
         edges_reused += solved["reuse"]["edges_reused"]
         edges_recomputed += solved["reuse"]["edges_recomputed"]
+        constraints_reused += solved["reuse"]["constraints_reused"]
         point = {
             "params": params,
             "feasible": True,
@@ -220,6 +221,7 @@ def run_sweep(
         "feasible_points": len(feasible),
         "edges_reused": edges_reused,
         "edges_recomputed": edges_recomputed,
+        "constraints_reused": constraints_reused,
         "ilp_component_memo_hits": (
             memo_after["component_hits"] - memo_before["component_hits"]
         ),

@@ -25,6 +25,7 @@ EXPECTED_CAPS = {
     "decide": 1 << 14,
     "coalesce": 4096,
     "eval": 1 << 14,
+    "constraints": 1 << 10,
 }
 
 
@@ -205,6 +206,12 @@ class TestWholeRegistry:
         memo.install(restored)
         for name, b in memo.banks().items():
             assert b.snapshot().keys() == snap[name].keys(), name
+        assert self._analyze().to_document() == first
+        # The installed constraint system answers the repeat outright,
+        # so that run asks the prover nothing; one that must derive its
+        # system again reads the installed prover bank.
+        assert memo.banks()["constraints"].hits > 0
+        memo.banks()["constraints"].clear()
         assert self._analyze().to_document() == first
         assert memo.banks()["nonneg"].hits > 0
 

@@ -134,6 +134,8 @@ def test_machine_edit_reuses_every_edge():
     )
     assert out["reuse"]["edges_recomputed"] == 0
     assert out["reuse"]["edges_reused"] > 0
+    # ...and the same labels: the constraint system comes from the bank
+    assert out["reuse"]["constraints_reused"] == 1
     session.close()
 
 

@@ -114,6 +114,7 @@ def test_sweep_points_share_memo_across_grid_points():
     # second sweep over the same points: everything is a memo answer
     assert again["reuse"]["ilp_component_memo_hits"] >= 2
     assert again["reuse"]["ilp_component_memo_misses"] == 0
+    assert again["reuse"]["constraints_reused"] == 2
     assert [p["sha256"] for p in again["points"]] == [
         p["sha256"] for p in first["points"]
     ]
